@@ -211,26 +211,36 @@ def vertex_dimensions(g: DirectedGraph, sink_dims: Mapping[str, int]) -> dict[st
     if missing:
         raise BranchingError(f"missing sink dimension for {sorted(missing)}")
 
+    # Iterative post-order walk, so paths of any length resolve without
+    # recursion. Out-edges are followed in document order, which fixes the
+    # vertex a directed cycle is reported through.
     dims: dict[str, int] = {}
-    state: dict[str, int] = {}  # 1 = in progress, 2 = done
-
-    def resolve(v: str) -> int:
-        if v in dims:
-            return dims[v]
-        if state.get(v) == 1:
-            raise BranchingError(f"directed cycle detected through vertex '{v}'")
-        state[v] = 1
-        out = g.out_edges(v)
-        if not out:
-            value = sink_dims[v]
-        else:
-            value = sum(resolve(e.rng) for e in out)
-        state[v] = 2
-        dims[v] = value
-        return value
-
-    for v in g.vertices:
-        resolve(v)
+    in_progress: set[str] = set()
+    for root in g.vertices:
+        if root in dims:
+            continue
+        in_progress.add(root)
+        out = g.out_edges(root)
+        stack = [(root, out, iter(out))]
+        while stack:
+            v, out, pending = stack[-1]
+            for e in pending:
+                w = e.rng
+                if w in dims:
+                    continue
+                w_out = g.out_edges(w)
+                if not w_out:
+                    dims[w] = sink_dims[w]
+                    continue
+                if w in in_progress:
+                    raise BranchingError(f"directed cycle detected through vertex '{w}'")
+                in_progress.add(w)
+                stack.append((w, w_out, iter(w_out)))
+                break
+            else:
+                stack.pop()
+                in_progress.discard(v)
+                dims[v] = sum([dims[e.rng] for e in out]) if out else sink_dims[v]
     return dims
 
 

@@ -41,14 +41,21 @@ from .branching import (
     synthesize,
     validate,
 )
-from .graph import DirectedGraph, GraphError, decompose, graph_from_json, truncate
+from .graph import (
+    DirectedGraph,
+    GraphError,
+    component_edge_lists,
+    decompose,
+    graph_from_json,
+    is_forest,
+    truncate,
+)
 from .operators import OperatorError, coordinate_export, induce, to_matrix, verify_ck
 from .structure import (
     ClassificationKind,
     StructureError,
     check_structure,
     component_classifications,
-    component_is_p_simple,
     level_decomposition,
     level_report,
     vertex_roles,
@@ -158,9 +165,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     checks = check_structure(g, d)
 
     components = []
-    for comp, c in classifications:
+    for (comp, c), edges in zip(classifications, component_edge_lists(g, dec)):
         entry: dict = {"vertices": list(comp), "classification": c.to_json()}
-        if c.kind is not ClassificationKind.IRREGULAR and component_is_p_simple(g, comp):
+        if c.kind is not ClassificationKind.IRREGULAR and is_forest(comp, edges):
             roles = vertex_roles(g, d, comp, c)
             entry["roles"] = {v: r.to_json() for v, r in roles.items()}
         components.append(entry)

@@ -315,19 +315,22 @@ class _UnionFind:
         return True
 
 
+def is_forest(vertices: Iterable[str], edges: Iterable[Edge]) -> bool:
+    """No loop among edges and no cycle in the undirected multigraph they span.
+
+    Every endpoint of every edge must be among vertices.
+    """
+    uf = _UnionFind(vertices)
+    return all(not e.is_loop and uf.union(e.src, e.rng) for e in edges)
+
+
 def is_p_simple(g: DirectedGraph) -> bool:
     """No loop edge and at most one path between any two distinct vertices.
 
     Equivalent to: no loops and no cycles, i.e. the underlying undirected
     multigraph is a simple forest, which is what is checked here.
     """
-    uf = _UnionFind(g.vertices)
-    for e in g.edges:
-        if e.is_loop:
-            return False
-        if not uf.union(e.src, e.rng):
-            return False
-    return True
+    return is_forest(g.vertices, g.edges)
 
 
 def decompose(g: DirectedGraph) -> ComponentDecomposition:
@@ -378,3 +381,19 @@ def component_edges(g: DirectedGraph, comp: Iterable[str]) -> Iterator[Edge]:
     """Edges with both endpoints in comp, in document order."""
     members = set(comp)
     return (e for e in g.edges if e.src in members and e.rng in members)
+
+
+def component_edge_lists(
+    g: DirectedGraph, dec: ComponentDecomposition
+) -> tuple[tuple[Edge, ...], ...]:
+    """Edges of each component of dec = decompose(g), in document order.
+
+    The result is parallel to dec.components. It takes one pass over the
+    edges through a vertex→component map, so all lists together cost
+    O(V + E), where component_edges costs O(E) per component.
+    """
+    index = {v: i for i, comp in enumerate(dec.components) for v in comp}
+    lists: list[list[Edge]] = [[] for _ in dec.components]
+    for e in g.edges:
+        lists[index[e.src]].append(e)
+    return tuple(tuple(es) for es in lists)

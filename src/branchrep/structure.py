@@ -25,7 +25,15 @@ from enum import Enum
 from functools import cached_property
 from typing import Iterable, Mapping
 
-from .graph import DirectedGraph, component_edges, decompose
+from .graph import (
+    ComponentDecomposition,
+    DirectedGraph,
+    Edge,
+    component_edge_lists,
+    component_edges,
+    decompose,
+    is_forest,
+)
 from .report import FAIL, NOT_APPLICABLE, PASS, CheckItem, Report
 
 
@@ -102,40 +110,48 @@ def extreme_vertices(g: DirectedGraph) -> tuple[str, ...]:
 def level_decomposition(g: DirectedGraph) -> LevelDecomposition:
     """Peel extreme vertices until none remain.
 
-    Every edge incident to an extreme vertex is that vertex's unique edge, so
-    removing X_n and Y_n leaves a well-formed graph; the loop runs at most
-    |vertices| rounds.
+    One pass with a counter of remaining incident edges per vertex. Removing
+    X_n and Y_n only lowers counters, so a vertex whose counter ends round n
+    at 1 is extreme in round n + 1 and is queued exactly once; a vertex
+    carrying a loop keeps the loop and is never extreme. Each vertex scans
+    its incident edges once, when it is peeled, and each round's sets are
+    sorted into document order, so the cost is O(V + E log E).
     """
+    degree = {v: len(g.incident(v)) for v in g.vertices}
+    has_loop = {e.src for e in g.edges if e.is_loop}
+    removed: set[str] = set()  # edge ids peeled in earlier rounds
+    peeled: set[str] = set()
     vertex_levels: list[tuple[str, ...]] = []
     edge_levels: list[tuple[str, ...]] = []
-    current = g
-    while True:
-        ext = extreme_vertices(current)
-        if not ext:
-            break
-        ext_edges: dict[str, None] = {}
-        for v in ext:
-            ext_edges.setdefault(current.incident(v)[0].id, None)
-        vertex_levels.append(ext)
-        # report Y_n in document order of the original graph
+    queue = [v for v in g.vertices if degree[v] == 1 and v not in has_loop]
+    while queue:
+        peeled.update(queue)
+        ext_edges: dict[str, Edge] = {}
+        for v in queue:
+            e = next(e for e in g.incident(v) if e.id not in removed)
+            ext_edges[e.id] = e
+        vertex_levels.append(tuple(queue))
         edge_levels.append(tuple(sorted(ext_edges, key=g.edge_position)))
-        remaining_v = [v for v in current.vertices if v not in set(ext)]
-        remaining_e = [e.id for e in current.edges if e.id not in ext_edges]
-        current = current.subgraph(remaining_v, remaining_e)
+        removed.update(ext_edges)
+        # peeled vertices drop to 0 here, so only survivors can be queued
+        touched: dict[str, None] = {}
+        for e in ext_edges.values():
+            for w in (e.src, e.rng):
+                degree[w] -= 1
+                touched[w] = None
+        queue = sorted(
+            (w for w in touched if degree[w] == 1 and w not in has_loop),
+            key=g.vertex_position,
+        )
     return LevelDecomposition(
         tuple(vertex_levels),
         tuple(edge_levels),
-        tuple(current.vertices),
-        tuple(e.id for e in current.edges),
+        tuple(v for v in g.vertices if v not in peeled),
+        tuple(e.id for e in g.edges if e.id not in removed),
     )
 
 
-def classify(g: DirectedGraph, d: LevelDecomposition, comp: Iterable[str]) -> Classification:
-    """Classify one connected component of g against the level decomposition."""
-    members = tuple(comp)
-    comps = {frozenset(c): c for c in decompose(g).components}
-    if frozenset(members) not in comps:
-        raise StructureError(f"{sorted(members)} is not a connected component of the graph")
+def _classify_members(d: LevelDecomposition, members: tuple[str, ...]) -> Classification:
     unleveled = [v for v in members if d.level_of(v) is None]
     if not unleveled:
         return Classification(ClassificationKind.ALL_LEVELS)
@@ -144,14 +160,26 @@ def classify(g: DirectedGraph, d: LevelDecomposition, comp: Iterable[str]) -> Cl
     return Classification(ClassificationKind.IRREGULAR)
 
 
+def classify(g: DirectedGraph, d: LevelDecomposition, comp: Iterable[str]) -> Classification:
+    """Classify one connected component of g against the level decomposition."""
+    members = tuple(comp)
+    comps = {frozenset(c): c for c in decompose(g).components}
+    if frozenset(members) not in comps:
+        raise StructureError(f"{sorted(members)} is not a connected component of the graph")
+    return _classify_members(d, members)
+
+
+def _classifications(
+    d: LevelDecomposition, dec: ComponentDecomposition
+) -> list[tuple[tuple[str, ...], Classification]]:
+    return [(comp, _classify_members(d, comp)) for comp in dec.components]
+
+
 def component_classifications(
     g: DirectedGraph, d: LevelDecomposition
 ) -> list[tuple[tuple[str, ...], Classification]]:
     """(component, classification) pairs in component order."""
-    out = []
-    for comp in decompose(g).components:
-        out.append((comp, classify(g, d, comp)))
-    return out
+    return _classifications(d, decompose(g))
 
 
 def _component_max_level(d: LevelDecomposition, members: Iterable[str]) -> int:
@@ -229,22 +257,8 @@ def vertex_roles(
 
 
 def component_is_p_simple(g: DirectedGraph, members: Iterable[str]) -> bool:
-    seen_roots: dict[str, str] = {}
-
-    def find(x: str) -> str:
-        while seen_roots.setdefault(x, x) != x:
-            seen_roots[x] = seen_roots[seen_roots[x]]
-            x = seen_roots[x]
-        return x
-
-    for e in component_edges(g, members):
-        if e.is_loop:
-            return False
-        ra, rb = find(e.src), find(e.rng)
-        if ra == rb:
-            return False
-        seen_roots[rb] = ra
-    return True
+    members = tuple(members)
+    return is_forest(members, component_edges(g, members))
 
 
 def _level_or_inf(d: LevelDecomposition, v: str) -> float:
@@ -283,7 +297,8 @@ def check_structure(g: DirectedGraph, d: LevelDecomposition) -> Report:
         if len(higher_eq) > 1:
             failures["1"].append({"vertex": v, "level": n, "neighbors": higher_eq})
 
-    for comp, c in component_classifications(g, d):
+    dec = decompose(g)
+    for (comp, c), edges in zip(_classifications(d, dec), component_edge_lists(g, dec)):
         m = _component_max_level(d, comp)
         top = [v for v in comp if d.level_of(v) == m] if m else []
         if c.kind in (ClassificationKind.ALL_LEVELS, ClassificationKind.LEVELS_PLUS_CENTER):
@@ -298,10 +313,9 @@ def check_structure(g: DirectedGraph, d: LevelDecomposition) -> Report:
                 if len(higher) != 1:
                     failures[a_key].append({"vertex": v, "level": n, "neighbors": higher})
             if c.kind is ClassificationKind.ALL_LEVELS:
+                top_set = set(top)
                 joining = [
-                    e.id
-                    for e in component_edges(g, comp)
-                    if not e.is_loop and {e.src, e.rng} == set(top)
+                    e.id for e in edges if not e.is_loop and {e.src, e.rng} == top_set
                 ]
                 if len(top) != 2 or len(joining) != 1:
                     failures["2b"].append(
@@ -318,7 +332,7 @@ def check_structure(g: DirectedGraph, d: LevelDecomposition) -> Report:
                         failures[b_key].append(
                             {"vertex": v, "center": c.center, "joiningEdges": joining}
                         )
-        if component_is_p_simple(g, comp):
+        if is_forest(comp, edges):
             applicable["4"] = True
             if c.kind is ClassificationKind.IRREGULAR:
                 unleveled = [v for v in comp if d.level_of(v) is None]

@@ -307,6 +307,30 @@ def test_loop_counts_as_directed_cycle():
     assert "directed cycle" in str(exc.value)
 
 
+def test_directed_cycle_names_first_reentered_vertex():
+    # the walk enters t, a, b, c in document order and first meets a again
+    g = graph_from_json(
+        {
+            "vertices": ["t", "a", "b", "c"],
+            "edges": [
+                {"id": "e1", "src": "t", "rng": "a"},
+                {"id": "e2", "src": "a", "rng": "b"},
+                {"id": "e3", "src": "b", "rng": "c"},
+                {"id": "e4", "src": "c", "rng": "a"},
+            ],
+        }
+    )
+    with pytest.raises(BranchingError, match="directed cycle detected through vertex 'a'"):
+        vertex_dimensions(g, {})
+
+
+def test_synthesize_long_path_needs_no_recursion():
+    g = path_graph(2500)
+    bs = synthesize(g, {"v2500": 2})
+    assert len(bs.universe) == 2 * 2500
+    assert validate(bs, g).passed
+
+
 # -- canonical synthesis -------------------------------------------------------------
 
 

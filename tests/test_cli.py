@@ -12,7 +12,7 @@ from branchrep import (
     synthesize,
 )
 from branchrep.cli import main
-from conftest import EXAMPLE_GRAPH_PATH, GOLDEN
+from conftest import EXAMPLE_GRAPH_PATH, GOLDEN, path_graph
 
 TWO_LEAF_DOC = {
     "vertices": ["r", "a", "b"],
@@ -188,6 +188,14 @@ def test_synthesize_default_dim_and_slack(capsys, tmp_path):
     assert code == 0
     assert doc["universe"] == [0, 1, 2, 3, 4, 5]
     assert doc["D"] == {"r": [0, 1], "a": [2], "b": [3]}
+
+
+def test_synthesize_long_path_exits_zero(capsys, tmp_path):
+    n = 2500
+    path = write_json(tmp_path / "path.json", path_graph(n).to_json())
+    code, out, err = run_json(capsys, "synthesize", path, "--default-dim", "1")
+    assert code == 0 and err == ""
+    assert len(out["universe"]) == n
 
 
 def test_synthesize_error_cases(capsys, tmp_path):
