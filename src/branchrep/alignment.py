@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -21,7 +22,7 @@ import numpy as np
 from .branching import DiscreteBranchingSystem, synthesize, validate, vertex_dimensions
 from .graph import DirectedGraph, decompose, is_p_simple
 from .operators import induce, wpi_matrix
-from .report import FAIL, PASS, CheckItem, Report
+from .report import FAIL, PASS, CheckItem, Report, first_witness
 from .structure import (
     Classification,
     ClassificationKind,
@@ -33,7 +34,6 @@ from .structure import (
 )
 
 RANK_TOL = 1e-10
-DEGENERATE_BAND = (1e-12, 1e-8)
 B2B_TOL = 1e-9
 RESIDUAL_TOL = 1e-8
 REP_TOL = 1e-10
@@ -77,14 +77,6 @@ class ConcreteRepresentation:
                     raise RepresentationError(
                         f"{label} matrix '{key}' has shape {m.shape}, expected {(self.dim, self.dim)}"
                     )
-
-
-@dataclass(frozen=True, eq=False)
-class SubspaceBases:
-    """Orthonormal bases (as column matrices) for each projection/operator range."""
-
-    vertices: dict[str, np.ndarray]
-    edges: dict[str, np.ndarray]
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,95 +135,65 @@ def check_representation(
     if set(rep.vertex_matrices) != set(g.vertices):
         raise RepresentationError("vertex matrices do not match the graph's vertices")
 
-    items: list[CheckItem] = []
-    n = rep.dim
-    eye = np.eye(n)
+    p = rep.vertex_matrices
+    s = rep.edge_matrices
 
-    witness = None
-    for v in g.vertices:
-        p = rep.vertex_matrices[v]
-        idem = float(np.abs(p @ p - p).max())
-        herm = float(np.abs(p - p.conj().T).max())
-        if idem > tol or herm > tol:
-            witness = {"vertex": v, "idempotencyError": idem, "selfAdjointnessError": herm}
-            break
-    items.append(CheckItem("projections", FAIL if witness else PASS, witness))
+    def projections():
+        for v in g.vertices:
+            idem = float(np.abs(p[v] @ p[v] - p[v]).max())
+            herm = float(np.abs(p[v] - p[v].conj().T).max())
+            if not (idem <= tol and herm <= tol):
+                yield {"vertex": v, "idempotencyError": idem, "selfAdjointnessError": herm}
 
-    witness = None
-    vs = list(g.vertices)
-    for a in range(len(vs)):
-        for b in range(a + 1, len(vs)):
-            err = float(np.abs(rep.vertex_matrices[vs[a]] @ rep.vertex_matrices[vs[b]]).max())
-            if err > tol:
-                witness = {"vertices": [vs[a], vs[b]], "error": err}
-                break
-        if witness:
-            break
-    items.append(CheckItem("i", FAIL if witness else PASS, witness))
+    def over_tol(cases):
+        # cases: lazy (witness fields, deviation matrix) pairs
+        for where, deviation in cases:
+            err = float(np.abs(deviation).max())
+            if not err <= tol:
+                yield {**where, "error": err}
 
-    witness = None
-    for e in g.edges:
-        s = rep.edge_matrices[e.id]
-        err = float(np.abs(s.conj().T @ s - rep.vertex_matrices[e.rng]).max())
-        if err > tol:
-            witness = {"edge": e.id, "error": err}
-            break
-    items.append(CheckItem("ii", FAIL if witness else PASS, witness))
+    def range_deviations():
+        for e in g.edges:
+            q = s[e.id] @ s[e.id].conj().T
+            yield {"edge": e.id}, p[e.src] @ q - q
 
-    witness = None
-    for e in g.edges:
-        s = rep.edge_matrices[e.id]
-        q = s @ s.conj().T
-        err = float(np.abs(rep.vertex_matrices[e.src] @ q - q).max())
-        if err > tol:
-            witness = {"edge": e.id, "error": err}
-            break
-    items.append(CheckItem("iii", FAIL if witness else PASS, witness))
+    def sum_deviations():
+        for v in g.vertices:
+            out = g.out_edges(v)
+            if out:
+                total = sum(s[e.id] @ s[e.id].conj().T for e in out)
+                yield {"vertex": v}, total - p[v]
 
-    witness = None
-    for e in g.edges:
-        if witness:
-            break
-        for f in g.edges:
-            if e.id == f.id:
-                continue
-            err = float(
-                np.abs(rep.edge_matrices[e.id].conj().T @ rep.edge_matrices[f.id]).max()
-            )
-            if err > tol:
-                witness = {"edges": [e.id, f.id], "error": err}
-                break
-    items.append(CheckItem("iv", FAIL if witness else PASS, witness))
+    def complement():
+        try:
+            rank, _ = _svd_rank(_leftover(rep, g), rank_tol, compute_uv=False)
+        except DegenerateRankError as err:
+            yield {"error": str(err)}
+        else:
+            if rank != rep.complement_dim:
+                yield {"declared": rep.complement_dim, "actual": rank}
 
-    witness = None
-    for v in g.vertices:
-        out = g.out_edges(v)
-        if not out:
-            continue
-        total = np.zeros((n, n), dtype=complex)
-        for e in out:
-            s = rep.edge_matrices[e.id]
-            total = total + s @ s.conj().T
-        err = float(np.abs(total - rep.vertex_matrices[v]).max())
-        if err > tol:
-            witness = {"vertex": v, "error": err}
-            break
-    items.append(CheckItem("v", FAIL if witness else PASS, witness))
-
-    witness = None
-    leftover = eye.astype(complex)
-    for v in g.vertices:
-        leftover = leftover - rep.vertex_matrices[v]
-    try:
-        rank = _stable_rank(leftover, rank_tol)
-    except DegenerateRankError as err:
-        rank = None
-        witness = {"error": str(err)}
-    if rank is not None and rank != rep.complement_dim:
-        witness = {"declared": rep.complement_dim, "actual": rank}
-    items.append(CheckItem("complement", FAIL if witness else PASS, witness))
-
-    return Report(tuple(items))
+    vertex_pairs = (
+        ({"vertices": [a, b]}, p[a] @ p[b]) for a, b in combinations(g.vertices, 2)
+    )
+    isometries = (({"edge": e.id}, s[e.id].conj().T @ s[e.id] - p[e.rng]) for e in g.edges)
+    edge_pairs = (
+        ({"edges": [e.id, f.id]}, s[e.id].conj().T @ s[f.id])
+        for e in g.edges
+        for f in g.edges
+        if e.id != f.id
+    )
+    return Report(
+        (
+            first_witness("projections", projections()),
+            first_witness("i", over_tol(vertex_pairs)),
+            first_witness("ii", over_tol(isometries)),
+            first_witness("iii", over_tol(range_deviations())),
+            first_witness("iv", over_tol(edge_pairs)),
+            first_witness("v", over_tol(sum_deviations())),
+            first_witness("complement", complement()),
+        )
+    )
 
 
 # -- random models -----------------------------------------------------------
@@ -298,41 +260,50 @@ def random_representation(
     return rep
 
 
-# -- subspace extraction -----------------------------------------------------
+# -- the one rank rule -------------------------------------------------------
 
 
-def _stable_rank(m: np.ndarray, rank_tol: float) -> int:
-    lo, hi = DEGENERATE_BAND
-    sv = np.linalg.svd(m, compute_uv=False)
-    shady = [float(s) for s in sv if lo < s < hi]
+def _leftover(rep: ConcreteRepresentation, g: DirectedGraph) -> np.ndarray:
+    """The identity minus every vertex projection, subtracted in document order."""
+    leftover = np.eye(rep.dim, dtype=complex)
+    for v in g.vertices:
+        leftover = leftover - rep.vertex_matrices[v]
+    return leftover
+
+
+def _svd_rank(
+    m: np.ndarray, rank_tol: float, compute_uv: bool
+) -> tuple[int, Optional[np.ndarray]]:
+    """Numerical rank of m, and its left singular vectors when ``compute_uv``.
+
+    Singular values above ``rank_tol`` count. One inside the open band
+    (rank_tol·1e-2, rank_tol·1e2) is neither clearly zero nor clearly not, so
+    the rank is refused with DegenerateRankError rather than guessed; so is
+    the rank of a matrix with a non-finite entry or on which the SVD fails.
+    """
+    if not np.isfinite(m).all():
+        raise DegenerateRankError("matrix has non-finite entries; rank is undefined")
+    try:
+        if compute_uv:
+            u, sv, _ = np.linalg.svd(m)
+        else:
+            u, sv = None, np.linalg.svd(m, compute_uv=False)
+    except np.linalg.LinAlgError as err:
+        raise DegenerateRankError(f"SVD failed ({err}); rank is undefined") from None
+    lo, hi = rank_tol * 1e-2, rank_tol * 1e2
+    shady = [float(x) for x in sv if lo < x < hi]
     if shady:
         raise DegenerateRankError(
             f"singular value(s) {shady} fall between {lo} and {hi}; "
             "rank is numerically ambiguous"
         )
-    return int((sv > rank_tol).sum())
+    return int((sv > rank_tol).sum()), u
 
 
 def _svd_basis(m: np.ndarray, rank_tol: float) -> np.ndarray:
-    lo, hi = DEGENERATE_BAND
-    u, sv, _ = np.linalg.svd(m)
-    shady = [float(s) for s in sv if lo < s < hi]
-    if shady:
-        raise DegenerateRankError(
-            f"singular value(s) {shady} fall between {lo} and {hi}; "
-            "rank is numerically ambiguous"
-        )
-    rank = int((sv > rank_tol).sum())
+    """Orthonormal basis, as columns, of the range of m."""
+    rank, u = _svd_rank(m, rank_tol, compute_uv=True)
     return u[:, :rank]
-
-
-def extract_subspaces(
-    rep: ConcreteRepresentation, g: DirectedGraph, rank_tol: float = RANK_TOL
-) -> SubspaceBases:
-    """Orthonormal bases for every vertex projection's range and edge image."""
-    vertices = {v: _svd_basis(rep.vertex_matrices[v], rank_tol) for v in g.vertices}
-    edges = {e.id: _svd_basis(rep.edge_matrices[e.id], rank_tol) for e in g.edges}
-    return SubspaceBases(vertices=vertices, edges=edges)
 
 
 # -- the two-sweep basis construction ----------------------------------------
@@ -373,9 +344,9 @@ def align_bases(
             "alignment construction is not applicable"
         )
 
-    sb = extract_subspaces(rep, g, rank_tol)
+    free = {v: _svd_basis(rep.vertex_matrices[v], rank_tol) for v in g.vertices}
     n_total = rep.dim
-    ranks = {v: sb.vertices[v].shape[1] for v in g.vertices}
+    ranks = {v: free[v].shape[1] for v in g.vertices}
 
     roles: dict[str, object] = {}
     for comp, c in classifications:
@@ -389,7 +360,7 @@ def align_bases(
     def assemble(v: str) -> np.ndarray:
         out = g.out_edges(v)
         if not out:
-            return sb.vertices[v]
+            return free[v]
         blocks = []
         offset = 0
         for e in out:
@@ -460,17 +431,14 @@ def align_bases(
             settle(v)
 
     for v in decompose(g).isolated:
-        vertex_vecs[v] = sb.vertices[v]
+        vertex_vecs[v] = free[v]
         processed.add(v)
 
     missing = [v for v in g.vertices if v not in processed]
     if missing:
         raise AlignmentError(f"internal sweep never reached vertices {missing}")
 
-    leftover = np.eye(n_total, dtype=complex)
-    for v in g.vertices:
-        leftover = leftover - rep.vertex_matrices[v]
-    complement = _svd_basis(leftover, rank_tol)
+    complement = _svd_basis(_leftover(rep, g), rank_tol)
     if complement.shape[1] != rep.complement_dim:
         raise AlignmentError(
             f"complement has rank {complement.shape[1]} but the representation "

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 from .graph import DirectedGraph
-from .report import FAIL, PASS, CheckItem, Report
+from .report import Report, first_witness, shared_indices
 
 
 class BranchingError(ValueError):
@@ -87,89 +87,70 @@ def validate(bs: DiscreteBranchingSystem, g: DirectedGraph) -> Report:
     6. f_e injective (so the inverse and its derivative exist)
     """
     _check_keys(bs, g)
-    items: list[CheckItem] = []
 
-    owner: dict[int, str] = {}
-    witness = None
-    for e in g.edges:
-        for x in sorted(bs.range_sets[e.id]):
-            if x in owner and witness is None:
-                witness = {"edges": [owner[x], e.id], "index": x}
-            owner.setdefault(x, e.id)
-    items.append(CheckItem("1", FAIL if witness else PASS, witness))
+    def range_stray():
+        for e in g.edges:
+            stray = bs.range_sets[e.id] - bs.domain_sets[e.src]
+            if stray:
+                yield {"edge": e.id, "src": e.src, "index": min(stray)}
 
-    owner_v: dict[int, str] = {}
-    witness = None
-    for v in g.vertices:
-        for x in sorted(bs.domain_sets[v]):
-            if x in owner_v and witness is None:
-                witness = {"vertices": [owner_v[x], v], "index": x}
-            owner_v.setdefault(x, v)
-    items.append(CheckItem("2", FAIL if witness else PASS, witness))
+    def emitter_unions():
+        for v in g.vertices:
+            out = g.out_edges(v)
+            if not out:
+                continue
+            union: set[int] = set()
+            for e in out:
+                union |= bs.range_sets[e.id]
+            missing = bs.domain_sets[v] - union
+            extra = union - bs.domain_sets[v]
+            if missing or extra:
+                yield {
+                    "vertex": v,
+                    "missingFromUnion": sorted(missing),
+                    "outsideDomain": sorted(extra),
+                }
 
-    witness = None
-    for e in g.edges:
-        stray = bs.range_sets[e.id] - bs.domain_sets[e.src]
-        if stray:
-            witness = {"edge": e.id, "src": e.src, "index": min(stray)}
-            break
-    items.append(CheckItem("3", FAIL if witness else PASS, witness))
+    def bijections():
+        for e in g.edges:
+            f = bs.edge_maps[e.id]
+            dom = bs.domain_sets[e.rng]
+            if set(f) != dom:
+                yield {
+                    "edge": e.id,
+                    "missingDomain": sorted(dom - set(f)),
+                    "extraDomain": sorted(set(f) - dom),
+                }
+            image = set(f.values())
+            if image != bs.range_sets[e.id]:
+                yield {
+                    "edge": e.id,
+                    "imageMissing": sorted(bs.range_sets[e.id] - image),
+                    "imageExtra": sorted(image - bs.range_sets[e.id]),
+                }
 
-    witness = None
-    for v in g.vertices:
-        out = g.out_edges(v)
-        if not out:
-            continue
-        union: set[int] = set()
-        for e in out:
-            union |= bs.range_sets[e.id]
-        missing = bs.domain_sets[v] - union
-        extra = union - bs.domain_sets[v]
-        if missing or extra:
-            witness = {
-                "vertex": v,
-                "missingFromUnion": sorted(missing),
-                "outsideDomain": sorted(extra),
-            }
-            break
-    items.append(CheckItem("4", FAIL if witness else PASS, witness))
+    def collisions():
+        for e in g.edges:
+            f = bs.edge_maps[e.id]
+            hit: dict[int, int] = {}
+            for a in sorted(f):
+                b = f[a]
+                if b in hit:
+                    yield {"edge": e.id, "collidingDomain": [hit[b], a], "image": b}
+                hit[b] = a
 
-    witness = None
-    for e in g.edges:
-        f = bs.edge_maps[e.id]
-        dom = bs.domain_sets[e.rng]
-        if set(f) != dom:
-            witness = {
-                "edge": e.id,
-                "missingDomain": sorted(dom - set(f)),
-                "extraDomain": sorted(set(f) - dom),
-            }
-            break
-        image = set(f.values())
-        if image != bs.range_sets[e.id]:
-            witness = {
-                "edge": e.id,
-                "imageMissing": sorted(bs.range_sets[e.id] - image),
-                "imageExtra": sorted(image - bs.range_sets[e.id]),
-            }
-            break
-    items.append(CheckItem("5", FAIL if witness else PASS, witness))
-
-    witness = None
-    for e in g.edges:
-        f = bs.edge_maps[e.id]
-        hit: dict[int, int] = {}
-        for a in sorted(f):
-            b = f[a]
-            if b in hit:
-                witness = {"edge": e.id, "collidingDomain": [hit[b], a], "image": b}
-                break
-            hit[b] = a
-        if witness:
-            break
-    items.append(CheckItem("6", FAIL if witness else PASS, witness))
-
-    return Report(tuple(items))
+    ranges = ((e.id, bs.range_sets[e.id]) for e in g.edges)
+    domains = ((v, bs.domain_sets[v]) for v in g.vertices)
+    return Report(
+        (
+            first_witness("1", shared_indices("edges", ranges)),
+            first_witness("2", shared_indices("vertices", domains)),
+            first_witness("3", range_stray()),
+            first_witness("4", emitter_unions()),
+            first_witness("5", bijections()),
+            first_witness("6", collisions()),
+        )
+    )
 
 
 def radon_nikodym(bs: DiscreteBranchingSystem, e: str) -> tuple[dict[int, float], dict[int, float]]:
@@ -196,8 +177,9 @@ def vertex_dimensions(g: DirectedGraph, sink_dims: Mapping[str, int]) -> dict[st
 
     Every non-isolated vertex without outgoing edges must appear in
     sink_dims with a positive integer; emitters get the sum over their
-    outgoing edges of the range vertex's dimension. Directed cycles make the
-    propagation unsolvable and raise.
+    outgoing edges of the range vertex's dimension, and isolated vertices
+    get 0 (an empty domain set). Directed cycles make the propagation
+    unsolvable and raise.
     """
     sinks = set(g.sinks())
     for v, dim in sink_dims.items():
@@ -240,7 +222,8 @@ def vertex_dimensions(g: DirectedGraph, sink_dims: Mapping[str, int]) -> dict[st
             else:
                 stack.pop()
                 in_progress.discard(v)
-                dims[v] = sum([dims[e.rng] for e in out]) if out else sink_dims[v]
+                # an isolated vertex is in no sink_dims and gets no indices
+                dims[v] = sum([dims[e.rng] for e in out]) if out else sink_dims.get(v, 0)
     return dims
 
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .branching import DiscreteBranchingSystem, validate
 from .graph import DirectedGraph
-from .report import FAIL, PASS, CheckItem, Report
+from .report import Report, first_witness, shared_indices
 
 
 class OperatorError(ValueError):
@@ -245,35 +245,21 @@ def coordinate_export(matrix: np.ndarray) -> str:
 
 @dataclass(frozen=True)
 class CKReport(Report):
+    """Relation report; ``exact`` says every edge operator carries
+    ``amplitude_sq``, so every comparison ran over Fractions."""
+
     exact: bool = True
 
 
-def _as_exact(t: WeightedPartialIsometry, float_tol: float):
-    """Return (mapping, value dict) with Fractions when available, else floats."""
+def _as_exact(t: WeightedPartialIsometry) -> tuple[dict[int, object], bool]:
+    """Squared amplitudes as Fractions when t carries them, else as floats."""
     if t.amplitude_sq is not None:
-        return t.mapping, t.amplitude_sq, True
-    return t.mapping, {x: a * a for x, a in t.amplitude.items()}, False
+        return t.amplitude_sq, True
+    return {x: a * a for x, a in t.amplitude.items()}, False
 
 
-def _is_identity_on(
-    t: WeightedPartialIsometry,
-    support: frozenset[int],
-    float_tol: float,
-) -> tuple[Optional[dict], bool]:
-    """Witness (or None) that t acts as the identity on exactly ``support``."""
-    mapping, sq, exact = _as_exact(t, float_tol)
-    if set(mapping) != support:
-        missing = sorted(support - set(mapping))
-        extra = sorted(set(mapping) - support)
-        return {"missing": missing, "extra": extra}, exact
-    for x in sorted(mapping):
-        if mapping[x] != x:
-            return {"index": x, "mapsTo": mapping[x]}, exact
-        value = sq[x]
-        ok = value == 1 if exact else abs(value - 1.0) <= float_tol
-        if not ok:
-            return {"index": x, "amplitudeSquared": float(value)}, exact
-    return None, exact
+def _is_one(value: object, exact: bool, float_tol: float) -> bool:
+    return value == 1 if exact else abs(float(value) - 1.0) <= float_tol
 
 
 def verify_ck(fam: GeneratorFamily, g: DirectedGraph, float_tol: float = 1e-12) -> CKReport:
@@ -288,7 +274,8 @@ def verify_ck(fam: GeneratorFamily, g: DirectedGraph, float_tol: float = 1e-12) 
 
     Adjoints are taken in the weighted inner product carried by the family,
     which is what makes the edge operators genuine partial isometries when
-    the weights are not all 1.
+    the weights are not all 1. A comparison is exact when every operator in
+    it carries ``amplitude_sq`` and falls back to ``float_tol`` otherwise.
     """
     ids = {e.id for e in g.edges}
     if set(fam.edge_ops) != ids:
@@ -296,106 +283,81 @@ def verify_ck(fam: GeneratorFamily, g: DirectedGraph, float_tol: float = 1e-12) 
     if set(fam.vertex_projs) != set(g.vertices):
         raise OperatorError("vertex projections do not match the graph's vertices")
 
-    items: list[CheckItem] = []
-    all_exact = True
-
-    witness = None
-    owner: dict[int, str] = {}
-    for v in g.vertices:
-        for x in sorted(fam.vertex_projs[v].support):
-            if x in owner:
-                witness = {"vertices": [owner[x], v], "index": x}
-                break
-            owner[x] = v
-        if witness:
-            break
-    items.append(CheckItem("i", FAIL if witness else PASS, witness))
-
     adjoints = {
         e.id: adjoint_weighted(fam.edge_ops[e.id], fam.weights) for e in g.edges
     }
 
-    witness = None
-    for e in g.edges:
-        product = compose(adjoints[e.id], fam.edge_ops[e.id])
-        w, exact = _is_identity_on(product, fam.vertex_projs[e.rng].support, float_tol)
-        all_exact = all_exact and exact
-        if w is not None:
-            witness = {"edge": e.id, **w}
-            break
-    items.append(CheckItem("ii", FAIL if witness else PASS, witness))
-
-    witness = None
-    for e in g.edges:
-        product = compose(fam.edge_ops[e.id], adjoints[e.id])
-        mapping, sq, exact = _as_exact(product, float_tol)
-        all_exact = all_exact and exact
-        support = fam.vertex_projs[e.src].support
-        for x in sorted(mapping):
-            if mapping[x] != x:
-                witness = {"edge": e.id, "index": x, "mapsTo": mapping[x]}
-                break
-            if x not in support:
-                witness = {"edge": e.id, "index": x, "outsideSource": e.src}
-                break
-            value = sq[x]
-            ok = value <= 1 if exact else value <= 1.0 + float_tol
-            if not ok:
-                witness = {"edge": e.id, "index": x, "amplitudeSquared": float(value)}
-                break
-        if witness:
-            break
-    items.append(CheckItem("iii", FAIL if witness else PASS, witness))
-
-    witness = None
-    for e in g.edges:
-        if witness:
-            break
-        for f in g.edges:
-            if e.id == f.id:
-                continue
-            product = compose(adjoints[e.id], fam.edge_ops[f.id])
-            if product.mapping:
-                x = min(product.mapping)
-                witness = {"edges": [e.id, f.id], "index": x}
-                break
-    items.append(CheckItem("iv", FAIL if witness else PASS, witness))
-
-    witness = None
-    for v in g.vertices:
-        out = g.out_edges(v)
-        if not out:
-            continue
-        diag: dict[int, object] = {}
-        exact_here = True
-        for e in out:
-            product = compose(fam.edge_ops[e.id], adjoints[e.id])
-            mapping, sq, exact = _as_exact(product, float_tol)
-            exact_here = exact_here and exact
-            for x in mapping:
+    def isometries():
+        for e in g.edges:
+            product = compose(adjoints[e.id], fam.edge_ops[e.id])
+            mapping = product.mapping
+            support = fam.vertex_projs[e.rng].support
+            if set(mapping) != support:
+                missing = sorted(support - set(mapping))
+                extra = sorted(set(mapping) - support)
+                yield {"edge": e.id, "missing": missing, "extra": extra}
+            sq, exact = _as_exact(product)
+            for x in sorted(mapping):
                 if mapping[x] != x:
-                    witness = {"vertex": v, "edge": e.id, "index": x, "mapsTo": mapping[x]}
-                    break
-                diag[x] = diag.get(x, 0) + sq[x]
-            if witness:
-                break
-        if witness:
-            break
-        all_exact = all_exact and exact_here
-        support = fam.vertex_projs[v].support
-        if set(diag) != support:
-            missing = sorted(support - set(diag))
-            extra = sorted(set(diag) - support)
-            witness = {"vertex": v, "missing": missing, "extra": extra}
-            break
-        for x in sorted(diag):
-            value = diag[x]
-            ok = value == 1 if exact_here else abs(float(value) - 1.0) <= float_tol
-            if not ok:
-                witness = {"vertex": v, "index": x, "diagonal": float(value)}
-                break
-        if witness:
-            break
-    items.append(CheckItem("v", FAIL if witness else PASS, witness))
+                    yield {"edge": e.id, "index": x, "mapsTo": mapping[x]}
+                if not _is_one(sq[x], exact, float_tol):
+                    yield {"edge": e.id, "index": x, "amplitudeSquared": float(sq[x])}
 
-    return CKReport(tuple(items), exact=all_exact)
+    def range_projections():
+        for e in g.edges:
+            product = compose(fam.edge_ops[e.id], adjoints[e.id])
+            mapping = product.mapping
+            sq, exact = _as_exact(product)
+            bound = 1 if exact else 1.0 + float_tol
+            support = fam.vertex_projs[e.src].support
+            for x in sorted(mapping):
+                if mapping[x] != x:
+                    yield {"edge": e.id, "index": x, "mapsTo": mapping[x]}
+                if x not in support:
+                    yield {"edge": e.id, "index": x, "outsideSource": e.src}
+                if not sq[x] <= bound:
+                    yield {"edge": e.id, "index": x, "amplitudeSquared": float(sq[x])}
+
+    def overlapping_images():
+        for e in g.edges:
+            for f in g.edges:
+                if e.id == f.id:
+                    continue
+                product = compose(adjoints[e.id], fam.edge_ops[f.id])
+                if product.mapping:
+                    yield {"edges": [e.id, f.id], "index": min(product.mapping)}
+
+    def vertex_sums():
+        for v in g.vertices:
+            out = g.out_edges(v)
+            if not out:
+                continue
+            diag: dict[int, object] = {}
+            for e in out:
+                product = compose(fam.edge_ops[e.id], adjoints[e.id])
+                mapping = product.mapping
+                sq, _ = _as_exact(product)
+                for x in mapping:
+                    if mapping[x] != x:
+                        yield {"vertex": v, "edge": e.id, "index": x, "mapsTo": mapping[x]}
+                    diag[x] = diag.get(x, 0) + sq[x]
+            support = fam.vertex_projs[v].support
+            if set(diag) != support:
+                missing = sorted(support - set(diag))
+                extra = sorted(set(diag) - support)
+                yield {"vertex": v, "missing": missing, "extra": extra}
+            exact = all(fam.edge_ops[e.id].amplitude_sq is not None for e in out)
+            for x in sorted(diag):
+                if not _is_one(diag[x], exact, float_tol):
+                    yield {"vertex": v, "index": x, "diagonal": float(diag[x])}
+
+    supports = ((v, fam.vertex_projs[v].support) for v in g.vertices)
+    items = (
+        first_witness("i", shared_indices("vertices", supports)),
+        first_witness("ii", isometries()),
+        first_witness("iii", range_projections()),
+        first_witness("iv", overlapping_images()),
+        first_witness("v", vertex_sums()),
+    )
+    exact = all(t.amplitude_sq is not None for t in fam.edge_ops.values())
+    return CKReport(items, exact=exact)

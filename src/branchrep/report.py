@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 
 PASS = "pass"
@@ -39,3 +40,28 @@ class Report:
 
     def to_json(self) -> list[dict]:
         return [i.to_json() for i in self.items]
+
+
+def first_witness(name: str, witnesses: Iterable[object]) -> CheckItem:
+    """FAIL with the first witness ``witnesses`` yields, PASS if it yields none.
+
+    Checkers pass a lazy generator, so the scan stops at the first witness.
+    """
+    for witness in witnesses:
+        return CheckItem(name, FAIL, witness)
+    return CheckItem(name, PASS)
+
+
+def shared_indices(label: str, groups: Iterable[tuple[str, Iterable[int]]]) -> Iterator[dict]:
+    """Witnesses of an index claimed by two groups, in scan order.
+
+    Groups are scanned in the given order and each group's indices in
+    ascending order; a witness names the earlier owner, the current group
+    and the index.
+    """
+    owner: dict[int, str] = {}
+    for key, indices in groups:
+        for x in sorted(indices):
+            if x in owner:
+                yield {label: [owner[x], key], "index": x}
+            owner.setdefault(x, key)

@@ -17,7 +17,6 @@ from branchrep import (
     check_representation,
     component_classifications,
     extract_branching_system,
-    extract_subspaces,
     graph_from_json,
     haar_unitary,
     induce,
@@ -181,16 +180,17 @@ def test_align_accepts_precomputed_structure():
     assert ba.vertex_bases == align_bases(rep, g).vertex_bases
 
 
-def test_extract_subspaces_ranks_match_dimensions():
+def test_align_bases_block_sizes_match_dimensions():
     g = path_graph(4)
     dims = {"v4": 3}
     rep = random_representation(g, dims, complement_dim=1, seed=4)
-    sb = extract_subspaces(rep, g)
+    ba = align_bases(rep, g)
     expected = vertex_dimensions(g, dims)
+    assert ba.global_basis.shape == (rep.dim, rep.dim)
     for v in g.vertices:
-        assert sb.vertices[v].shape == (rep.dim, expected[v])
+        assert len(ba.vertex_bases[v]) == expected[v]
     for e in g.edges:
-        assert sb.edges[e.id].shape[1] == expected[e.rng]
+        assert len(ba.edge_bases[e.id]) == expected[e.rng]
 
 
 # -- guards and failure modes ---------------------------------------------------
@@ -234,6 +234,49 @@ def test_degenerate_rank_is_reported_not_guessed():
     )
     with pytest.raises(DegenerateRankError, match="numerically ambiguous"):
         align_bases(rep, g)
+
+
+def test_refuse_band_follows_rank_tol():
+    # the leftover I - P has singular values 1, 1e-7, 0: below rank_tol=1e-6
+    # but inside the band (1e-8, 1e-4) around it
+    g = graph_from_json({"vertices": ["a"], "edges": []})
+    p = np.diag([1.0, 1.0 - 1e-7, 0.0]).astype(complex)
+    rep = ConcreteRepresentation(
+        dim=3, complement_dim=1, edge_matrices={}, vertex_matrices={"a": p}
+    )
+    item = check_representation(rep, g, rank_tol=1e-6).item("complement")
+    assert item.status == "fail"
+    assert "numerically ambiguous" in item.witness["error"]
+    with pytest.raises(DegenerateRankError, match="numerically ambiguous"):
+        align_bases(rep, g, rank_tol=1e-6)
+
+
+def test_non_finite_rank_is_refused():
+    g = graph_from_json({"vertices": ["a"], "edges": []})
+    p = np.diag([1.0, np.nan, 0.0]).astype(complex)
+    rep = ConcreteRepresentation(
+        dim=3, complement_dim=1, edge_matrices={}, vertex_matrices={"a": p}
+    )
+    item = check_representation(rep, g).item("complement")
+    assert item.status == "fail" and "non-finite" in item.witness["error"]
+    with pytest.raises(DegenerateRankError, match="non-finite"):
+        align_bases(rep, g)
+
+
+def test_isolated_vertex_gets_an_empty_block():
+    g = graph_from_json(
+        {
+            "vertices": ["r", "a", "b", "z"],
+            "edges": [
+                {"id": "e1", "src": "r", "rng": "a"},
+                {"id": "e2", "src": "r", "rng": "b"},
+            ],
+        }
+    )
+    rep = random_representation(g, {"a": 1, "b": 2}, complement_dim=1, seed=5)
+    ba, cert = run_pipeline(g, rep)
+    assert ba.vertex_bases["z"] == ()
+    assert cert.passes()
 
 
 def test_align_rejects_wrong_complement_declaration():

@@ -1,0 +1,239 @@
+"""The witness-generator checkers against the original scan loops.
+
+``check_oracle`` holds the original ``validate``, ``verify_ck`` and
+``check_representation`` verbatim; on every input the library must produce
+byte-identical reports, and the same ``exact`` flag on passing relation
+reports.
+"""
+
+import json
+from fractions import Fraction
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import check_oracle as oracle
+import genutil
+from branchrep import (
+    ConcreteRepresentation,
+    DiscreteBranchingSystem,
+    GeneratorFamily,
+    WeightedPartialIsometry,
+    check_representation,
+    graph_from_json,
+    induce,
+    random_representation,
+    synthesize,
+    validate,
+    verify_ck,
+)
+
+WEIGHTS = st.sampled_from([0.5, 1.0, 2.0, 3.0, 0.25])
+
+
+def _same(new, old):
+    assert json.dumps(new.to_json()) == json.dumps(old.to_json())
+
+
+@st.composite
+def small_graphs(draw, max_vertices=4, max_edges=5):
+    """Multigraph with loops and parallel edges allowed."""
+    names = [f"v{i}" for i in range(draw(st.integers(1, max_vertices)))]
+    vertex = st.sampled_from(names)
+    pairs = draw(st.lists(st.tuples(vertex, vertex), max_size=max_edges))
+    edges = [{"id": f"e{i}", "src": s, "rng": r} for i, (s, r) in enumerate(pairs)]
+    return graph_from_json({"vertices": names, "edges": edges})
+
+
+@st.composite
+def dag_systems(draw):
+    """A synthesized (valid) system on a random acyclic graph, weights redrawn."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    g = genutil.dag_graph(rng, draw(st.integers(1, 5)), extra=draw(st.integers(0, 2)))
+    bs = synthesize(g, genutil.random_sink_dims(rng, g, 2), slack=draw(st.integers(0, 2)))
+    weights = {x: draw(WEIGHTS) for x in bs.universe}
+    return g, DiscreteBranchingSystem(
+        universe=bs.universe,
+        range_sets=bs.range_sets,
+        domain_sets=bs.domain_sets,
+        edge_maps=bs.edge_maps,
+        weights=weights,
+    )
+
+
+@st.composite
+def random_systems(draw):
+    """Arbitrary sets and maps over a small universe: mostly invalid systems."""
+    g = draw(small_graphs())
+    universe = tuple(range(draw(st.integers(0, 6))))
+    index_sets = st.frozensets(st.sampled_from(universe)) if universe else st.just(frozenset())
+
+    def partial_map():
+        if not universe:
+            return {}
+        keys = draw(st.lists(st.sampled_from(universe), unique=True))
+        return {x: draw(st.sampled_from(universe)) for x in keys}
+
+    return g, DiscreteBranchingSystem(
+        universe=universe,
+        range_sets={e.id: draw(index_sets) for e in g.edges},
+        domain_sets={v: draw(index_sets) for v in g.vertices},
+        edge_maps={e.id: partial_map() for e in g.edges},
+    )
+
+
+@st.composite
+def mutated_systems(draw):
+    """A valid system with one set or map entry moved, dropped or redirected."""
+    g, bs = draw(dag_systems())
+    if not bs.universe:
+        return g, bs
+    index = st.sampled_from(bs.universe)
+    range_sets = dict(bs.range_sets)
+    domain_sets = dict(bs.domain_sets)
+    edge_maps = {e: dict(f) for e, f in bs.edge_maps.items()}
+    kind = draw(st.sampled_from(["range", "domain", "map", "drop"]))
+    if kind == "range" and range_sets:
+        e = draw(st.sampled_from(sorted(range_sets)))
+        range_sets[e] = range_sets[e] ^ {draw(index)}
+    elif kind == "domain":
+        v = draw(st.sampled_from(sorted(domain_sets)))
+        domain_sets[v] = domain_sets[v] ^ {draw(index)}
+    elif edge_maps:
+        f = edge_maps[draw(st.sampled_from(sorted(edge_maps)))]
+        if kind == "map":
+            f[draw(index)] = draw(index)
+        elif f:
+            del f[draw(st.sampled_from(sorted(f)))]
+    return g, DiscreteBranchingSystem(
+        universe=bs.universe,
+        range_sets=range_sets,
+        domain_sets=domain_sets,
+        edge_maps=edge_maps,
+        weights=bs.weights,
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(random_systems(), dag_systems(), mutated_systems()))
+def test_validate_matches_original(case):
+    g, bs = case
+    _same(validate(bs, g), oracle.validate(bs, g))
+
+
+def _float_only(t):
+    return WeightedPartialIsometry(mapping=t.mapping, amplitude=t.amplitude)
+
+
+def _rescaled(t, factor):
+    """t with every amplitude scaled, keeping exact squares if it had them."""
+    amplitude_sq = None
+    if t.amplitude_sq is not None:
+        amplitude_sq = {x: q * Fraction(factor) ** 2 for x, q in t.amplitude_sq.items()}
+    return WeightedPartialIsometry(
+        mapping=t.mapping,
+        amplitude={x: a * factor for x, a in t.amplitude.items()},
+        amplitude_sq=amplitude_sq,
+    )
+
+
+@st.composite
+def families(draw):
+    """Induced families with some edge operators made float-only, rescaled,
+    nudged by a float rounding step, or replaced, and some vertex supports
+    redrawn."""
+    g, bs = draw(dag_systems())
+    fam = induce(bs, g)
+    edge_ops = dict(fam.edge_ops)
+    for e in g.edges:
+        t = edge_ops[e.id]
+        kind = draw(st.sampled_from(["exact", "float", "scaled", "nudged", "random"]))
+        if kind == "float":
+            t = _float_only(t)
+        elif kind == "scaled":
+            t = _rescaled(t, draw(st.sampled_from([0.5, 2.0])))
+        elif kind == "nudged":
+            t = _rescaled(_float_only(t), 1.0 + draw(st.sampled_from([1e-15, 1e-13, 1e-9])))
+        elif kind == "random":
+            rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+            t = genutil.random_wpi(rng, len(bs.universe)) if bs.universe else t
+        edge_ops[e.id] = t
+    vertex_projs = dict(fam.vertex_projs)
+    if bs.universe and draw(st.booleans()):
+        v = draw(st.sampled_from(g.vertices))
+        support = draw(st.frozensets(st.sampled_from(bs.universe)))
+        vertex_projs[v] = type(vertex_projs[v])(support)
+    return g, GeneratorFamily(
+        universe=fam.universe,
+        edge_ops=edge_ops,
+        vertex_projs=vertex_projs,
+        weights=fam.weights,
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(families())
+def test_verify_ck_matches_original(case):
+    g, fam = case
+    new = verify_ck(fam, g)
+    old = oracle.verify_ck(fam, g)
+    _same(new, old)
+    if old.passed:
+        assert new.exact == old.exact
+
+
+@st.composite
+def dense_representations(draw):
+    """A random honest representation with one finite mutation applied."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    g = genutil.tree_graph(rng, draw(st.integers(2, 4)))
+    rep = random_representation(
+        g,
+        genutil.random_sink_dims(rng, g, 2),
+        complement_dim=draw(st.integers(0, 2)),
+        seed=draw(st.integers(0, 1000)),
+        axis_aligned=draw(st.booleans()),
+    )
+    edges = dict(rep.edge_matrices)
+    vertices = dict(rep.vertex_matrices)
+    complement_dim = rep.complement_dim
+    n = rep.dim
+    kind = draw(
+        st.sampled_from(["none", "real", "entry", "scale", "swap", "rank", "complement"])
+    )
+    mats = edges if edges and draw(st.booleans()) else vertices
+    key = draw(st.sampled_from(sorted(mats)))
+    size = 10.0 ** draw(st.integers(-14, -1))
+    if kind == "real":
+        edges = {k: m.real.copy() for k, m in edges.items()}
+        vertices = {k: m.real.copy() for k, m in vertices.items()}
+    elif kind == "entry":
+        m = mats[key].copy()
+        m[draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))] += size
+        mats[key] = m
+    elif kind == "scale":
+        mats[key] = mats[key] * (1.0 + size)
+    elif kind == "swap" and len(edges) > 1:
+        a, b = draw(st.permutations(sorted(edges)))[:2]
+        edges[a], edges[b] = edges[b], edges[a]
+    elif kind == "rank":
+        v = draw(st.sampled_from(g.vertices))
+        u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        u /= np.linalg.norm(u)
+        vertices[v] = vertices[v] + size * np.outer(u, u.conj())
+    elif kind == "complement":
+        complement_dim = max(0, complement_dim + draw(st.sampled_from([-1, 1])))
+    return g, ConcreteRepresentation(
+        dim=n,
+        complement_dim=complement_dim,
+        edge_matrices=edges,
+        vertex_matrices=vertices,
+    )
+
+
+@settings(max_examples=120, deadline=None)
+@given(dense_representations())
+def test_check_representation_matches_original(case):
+    g, rep = case
+    _same(check_representation(rep, g), oracle.check_representation(rep, g))

@@ -198,6 +198,17 @@ def test_synthesize_long_path_exits_zero(capsys, tmp_path):
     assert len(out["universe"]) == n
 
 
+def test_synthesize_and_induce_with_isolated_vertex(capsys, tmp_path):
+    doc = {"vertices": TWO_LEAF_DOC["vertices"] + ["z"], "edges": TWO_LEAF_DOC["edges"]}
+    gpath = write_json(tmp_path / "g.json", doc)
+    code, system, err = run_json(capsys, "synthesize", gpath, "--default-dim", "1")
+    assert code == 0 and err == ""
+    assert system["D"]["z"] == []
+    spath = write_json(tmp_path / "bs.json", system)
+    code, report, _ = run_json(capsys, "induce", spath, "--graph", gpath)
+    assert code == 0 and report["passed"] is True
+
+
 def test_synthesize_error_cases(capsys, tmp_path):
     path = write_json(tmp_path / "g.json", TWO_LEAF_DOC)
     code, _, err = run(capsys, "synthesize", path)
@@ -300,6 +311,21 @@ def test_verify_fails_broken_representation(capsys, tmp_path):
     assert out["passed"] is False
     statuses = {item["item"]: item["status"] for item in out["checks"]}
     assert statuses["ii"] == "fail"
+
+
+@pytest.mark.parametrize("kind, key", [("edges", "e"), ("vertices", "v")])
+def test_nan_entry_fails_closed(capsys, tmp_path, kind, key):
+    gpath = write_json(tmp_path / "g.json", SINGLE_EDGE_DOC)
+    g = graph_from_json(SINGLE_EDGE_DOC)
+    doc = rep_to_json(random_representation(g, {"v": 2}, complement_dim=1, seed=3))
+    doc[kind][key][4] = [float("nan"), 0.0]
+    rpath = write_json(tmp_path / "rep.json", doc)
+    code, out, err = run_json(capsys, "verify", rpath, "--graph", gpath)
+    assert code == 1 and err == ""
+    assert out["passed"] is False
+    code, _, err = run(capsys, "align", rpath, "--graph", gpath)
+    assert code == 1
+    assert len(err.splitlines()) == 1 and err.startswith("check failed: relation")
 
 
 def test_verify_rejects_shapeless_document(capsys, tmp_path):
