@@ -22,7 +22,7 @@ import numpy as np
 from .branching import DiscreteBranchingSystem, synthesize, validate, vertex_dimensions
 from .graph import DirectedGraph, decompose, is_p_simple
 from .operators import induce, wpi_matrix
-from .report import FAIL, PASS, CheckItem, Report, first_witness
+from .report import FAIL, PASS, CheckItem, Report, Tolerances, first_witness
 from .structure import (
     Classification,
     ClassificationKind,
@@ -33,12 +33,11 @@ from .structure import (
     vertex_roles,
 )
 
-RANK_TOL = 1e-10
-B2B_TOL = 1e-9
-RESIDUAL_TOL = 1e-8
-REP_TOL = 1e-10
-ORTHO_TOL = 1e-10
-SPAN_TOL = 1e-9
+# the defaults as plain names, for callers that compare against one
+RANK_TOL = Tolerances.rank
+B2B_TOL = Tolerances.b2b
+RESIDUAL_TOL = Tolerances.residual
+REP_TOL = Tolerances.rep
 
 
 class AlignmentError(ValueError):
@@ -105,11 +104,12 @@ class EquivalenceCertificate:
 
     @property
     def max_residual(self) -> float:
+        """The largest residual, NaN if any residual is NaN."""
         values = list(self.edge_residuals.values()) + list(self.vertex_residuals.values())
-        return max(values) if values else 0.0
+        return float(np.max(values)) if values else 0.0
 
-    def passes(self, tol: float = RESIDUAL_TOL) -> bool:
-        return self.max_residual <= tol
+    def passes(self, tols: Tolerances = Tolerances()) -> bool:
+        return self.max_residual <= tols.residual
 
 
 # -- representation sanity --------------------------------------------------
@@ -118,8 +118,7 @@ class EquivalenceCertificate:
 def check_representation(
     rep: ConcreteRepresentation,
     g: DirectedGraph,
-    tol: float = REP_TOL,
-    rank_tol: float = RANK_TOL,
+    tols: Tolerances = Tolerances(),
 ) -> Report:
     """Report on the graph relations for dense matrices.
 
@@ -128,7 +127,8 @@ def check_representation(
     vertex's subspace), 'iii' (its image sits under the source projection),
     'iv' (distinct edges have orthogonal images), 'v' (emitters' edge images
     fill the vertex subspace), 'complement' (rank of what is left equals the
-    declared complement dimension).
+    declared complement dimension). Errors are held to ``tols.rep`` and the
+    complement's rank is cut at ``tols.rank``.
     """
     if set(rep.edge_matrices) != {e.id for e in g.edges}:
         raise RepresentationError("edge matrices do not match the graph's edges")
@@ -142,14 +142,14 @@ def check_representation(
         for v in g.vertices:
             idem = float(np.abs(p[v] @ p[v] - p[v]).max())
             herm = float(np.abs(p[v] - p[v].conj().T).max())
-            if not (idem <= tol and herm <= tol):
+            if not (idem <= tols.rep and herm <= tols.rep):
                 yield {"vertex": v, "idempotencyError": idem, "selfAdjointnessError": herm}
 
     def over_tol(cases):
         # cases: lazy (witness fields, deviation matrix) pairs
         for where, deviation in cases:
             err = float(np.abs(deviation).max())
-            if not err <= tol:
+            if not err <= tols.rep:
                 yield {**where, "error": err}
 
     def range_deviations():
@@ -166,7 +166,7 @@ def check_representation(
 
     def complement():
         try:
-            rank, _ = _svd_rank(_leftover(rep, g), rank_tol, compute_uv=False)
+            rank, _ = _svd_rank(_leftover(rep, g), tols.rank, compute_uv=False)
         except DegenerateRankError as err:
             yield {"error": str(err)}
         else:
@@ -314,7 +314,7 @@ def align_bases(
     g: DirectedGraph,
     d: Optional[LevelDecomposition] = None,
     classifications: Optional[Sequence[tuple[tuple[str, ...], Classification]]] = None,
-    rank_tol: float = RANK_TOL,
+    tols: Tolerances = Tolerances(),
 ) -> BasisAssignment:
     """Choose the adapted global basis by sweeping the level structure.
 
@@ -325,7 +325,9 @@ def align_bases(
     Sweep two starts at the top — the source vertex of the unique top edge,
     or the unleveled center — and walks downward through the remaining
     vertices the same way. Isolated vertices and the complement get free
-    bases at the end.
+    bases at the end. Singular values are cut at ``tols.rank``; assembled
+    blocks and the global basis must be orthonormal to within ``tols.rep``,
+    and each block must lie in its projection's range to within ``tols.b2b``.
     """
     if d is None:
         d = level_decomposition(g)
@@ -344,7 +346,7 @@ def align_bases(
             "alignment construction is not applicable"
         )
 
-    free = {v: _svd_basis(rep.vertex_matrices[v], rank_tol) for v in g.vertices}
+    free = {v: _svd_basis(rep.vertex_matrices[v], tols.rank) for v in g.vertices}
     n_total = rep.dim
     ranks = {v: free[v].shape[1] for v in g.vertices}
 
@@ -379,7 +381,7 @@ def align_bases(
                 f"{b.shape[1]} vectors but the vertex projection has rank {ranks[v]}"
             )
         gram_err = float(np.abs(b.conj().T @ b - np.eye(b.shape[1])).max())
-        if gram_err > ORTHO_TOL:
+        if not gram_err <= tols.rep:
             raise AlignmentError(
                 f"assembled block at vertex '{v}' is not orthonormal "
                 f"(deviation {gram_err:.3e}); the input matrices likely violate "
@@ -390,7 +392,7 @@ def align_bases(
     def settle(v: str) -> None:
         b = assemble(v)
         span_err = float(np.abs(rep.vertex_matrices[v] @ b - b).max())
-        if span_err > SPAN_TOL:
+        if not span_err <= tols.b2b:
             raise AlignmentError(
                 f"block assembled for vertex '{v}' leaves its projection's range "
                 f"(deviation {span_err:.3e})"
@@ -438,7 +440,7 @@ def align_bases(
     if missing:
         raise AlignmentError(f"internal sweep never reached vertices {missing}")
 
-    complement = _svd_basis(_leftover(rep, g), rank_tol)
+    complement = _svd_basis(_leftover(rep, g), tols.rank)
     if complement.shape[1] != rep.complement_dim:
         raise AlignmentError(
             f"complement has rank {complement.shape[1]} but the representation "
@@ -453,7 +455,7 @@ def align_bases(
             f"in dimension {n_total}"
         )
     unitary_err = float(np.abs(basis.conj().T @ basis - np.eye(n_total)).max())
-    if unitary_err > ORTHO_TOL:
+    if not unitary_err <= tols.rep:
         raise AlignmentError(
             f"global basis is not unitary (deviation {unitary_err:.3e}); "
             "vertex blocks overlap or the complement is off"
@@ -524,7 +526,7 @@ def _b2b_matches(
                     resid = float(np.linalg.norm(img - tv))
                 if resid < best_resid:
                     best, best_resid = t, resid
-            if best is None or best_resid > tol:
+            if not best_resid <= tol:
                 witness = {
                     "edge": e.id,
                     "domainIndex": dom[k],
@@ -545,7 +547,7 @@ def check_b2b(
     rep: ConcreteRepresentation,
     ba: BasisAssignment,
     g: DirectedGraph,
-    tol: float = B2B_TOL,
+    tols: Tolerances = Tolerances(),
     allow_phase: bool = False,
 ) -> Report:
     """Per-edge check that the edge operator maps block onto block, bijectively.
@@ -553,7 +555,7 @@ def check_b2b(
     Each item is named by its edge; a failure's witness carries the first
     domain basis vector whose image misses every unmatched target vector.
     """
-    report, _ = _b2b_matches(rep, ba, g, tol, allow_phase)
+    report, _ = _b2b_matches(rep, ba, g, tols.b2b, allow_phase)
     return report
 
 
@@ -561,7 +563,7 @@ def extract_branching_system(
     rep: ConcreteRepresentation,
     ba: BasisAssignment,
     g: DirectedGraph,
-    tol: float = B2B_TOL,
+    tols: Tolerances = Tolerances(),
 ) -> EquivalenceCertificate:
     """Read a unit-weight branching system off an adapted basis assignment.
 
@@ -571,7 +573,7 @@ def extract_branching_system(
     the k-th global basis vector to the k-th standard coordinate vector.
     Residuals start empty; ``verify_equivalence`` fills them.
     """
-    report, matches = _b2b_matches(rep, ba, g, tol, allow_phase=False)
+    report, matches = _b2b_matches(rep, ba, g, tols.b2b, allow_phase=False)
     if not report.passed:
         bad = report.failures()[0]
         raise AlignmentError(
@@ -598,19 +600,21 @@ def verify_equivalence(
     rep: ConcreteRepresentation,
     cert: EquivalenceCertificate,
     g: DirectedGraph,
+    tols: Tolerances = Tolerances(),
 ) -> EquivalenceCertificate:
     """Measure how exactly the certificate reproduces the representation.
 
     For every generator the canonical matrix of the extracted system is
     conjugated back through the unitary and compared against the input in
     Frobenius norm; the certificate comes back with those residuals filled.
+    The unitary must be unitary to within ``tols.rep``.
     """
     n = rep.dim
     u = cert.unitary
     if u.shape != (n, n):
         raise AlignmentError(f"unitary has shape {u.shape}, expected {(n, n)}")
     unitary_err = float(np.abs(u @ u.conj().T - np.eye(n)).max())
-    if unitary_err > ORTHO_TOL:
+    if not unitary_err <= tols.rep:
         raise AlignmentError(f"certificate matrix is not unitary (deviation {unitary_err:.3e})")
     if len(cert.system.universe) != n:
         raise AlignmentError(
@@ -670,11 +674,7 @@ def _pairs_to_matrix(entries: object, dim: int, where: str) -> np.ndarray:
     return flat.reshape(dim, dim)
 
 
-def rep_from_json(
-    doc: object,
-    g: Optional[DirectedGraph] = None,
-    check: bool = False,
-) -> ConcreteRepresentation:
+def rep_from_json(doc: object) -> ConcreteRepresentation:
     if not isinstance(doc, dict):
         raise RepresentationError("representation document must be an object")
     unknown = set(doc) - _REP_FIELDS
@@ -697,19 +697,9 @@ def rep_from_json(
     vertex_matrices = {
         k: _pairs_to_matrix(v, dim, f"vertices[{k!r}]") for k, v in doc["vertices"].items()
     }
-    rep = ConcreteRepresentation(
+    return ConcreteRepresentation(
         dim=dim,
         complement_dim=comp,
         edge_matrices=edge_matrices,
         vertex_matrices=vertex_matrices,
     )
-    if check:
-        if g is None:
-            raise RepresentationError("relation checking requires the graph")
-        report = check_representation(rep, g)
-        if not report.passed:
-            bad = report.failures()[0]
-            raise RepresentationError(
-                f"representation fails check '{bad.item}': {bad.witness}"
-            )
-    return rep

@@ -8,6 +8,7 @@ here is finite combinatorics plus positive rationals.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -40,8 +41,8 @@ class DiscreteBranchingSystem:
         if set(self.weights) != seen:
             raise BranchingError("weights must be defined on exactly the universe")
         for x, w in self.weights.items():
-            if not w > 0:
-                raise BranchingError(f"weight at index {x} must be positive, got {w}")
+            if not (w > 0 and math.isfinite(w)):
+                raise BranchingError(f"weight at index {x} must be positive and finite, got {w}")
         for label, sets in (("R", self.range_sets), ("D", self.domain_sets)):
             for key, s in sets.items():
                 stray = set(s) - seen

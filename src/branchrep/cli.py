@@ -14,16 +14,13 @@ Exit codes: 0 all checks pass, 1 a check fails (reports are still written),
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
 from .alignment import (
-    B2B_TOL,
-    RANK_TOL,
-    REP_TOL,
-    RESIDUAL_TOL,
     AlignmentError,
     NotApplicableError,
     RepresentationError,
@@ -51,6 +48,7 @@ from .graph import (
     truncate,
 )
 from .operators import OperatorError, coordinate_export, induce, to_matrix, verify_ck
+from .report import Tolerances
 from .structure import (
     ClassificationKind,
     StructureError,
@@ -61,15 +59,7 @@ from .structure import (
     vertex_roles,
 )
 
-CK_TOL = 1e-12
-
-_TOL_DEFAULTS = {
-    "ck": CK_TOL,
-    "rep": REP_TOL,
-    "rank": RANK_TOL,
-    "b2b": B2B_TOL,
-    "residual": RESIDUAL_TOL,
-}
+_TOL_NAMES = sorted(f.name for f in dataclasses.fields(Tolerances))
 
 
 class CLIError(ValueError):
@@ -85,19 +75,22 @@ def _load_graph(path: str) -> DirectedGraph:
     return graph_from_json(_load_json(path))
 
 
-def _parse_tols(pairs: Optional[Sequence[str]]) -> dict[str, float]:
-    tols = dict(_TOL_DEFAULTS)
+def _parse_tols(pairs: Optional[Sequence[str]]) -> Tolerances:
+    overrides: dict[str, float] = {}
     for item in pairs or []:
         name, sep, value = item.partition("=")
-        if not sep or name not in tols:
+        if not sep or name not in _TOL_NAMES:
             raise CLIError(
-                f"--tol expects NAME=VALUE with NAME one of {sorted(tols)}, got {item!r}"
+                f"--tol expects NAME=VALUE with NAME one of {_TOL_NAMES}, got {item!r}"
             )
         try:
-            tols[name] = float(value)
+            overrides[name] = float(value)
         except ValueError:
             raise CLIError(f"--tol {name}: {value!r} is not a number") from None
-    return tols
+    try:
+        return Tolerances(**overrides)
+    except ValueError as err:
+        raise CLIError(str(err)) from None
 
 
 def _scalar(value: object) -> str:
@@ -227,7 +220,7 @@ def cmd_induce(args: argparse.Namespace) -> int:
         _emit({"seed": args.seed, "validation": val.to_json(), "passed": False}, args)
         return 1
     fam = induce(bs, g)
-    ck = verify_ck(fam, g, float_tol=tols["ck"])
+    ck = verify_ck(fam, g, tols)
     if args.out_dir:
         _write_matrices(fam, g, args.out_dir)
     out = {
@@ -251,7 +244,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
         kind = "branchingSystem"
     elif isinstance(doc, dict) and "dim" in doc:
         rep = rep_from_json(doc)
-        report = check_representation(rep, g, tol=tols["rep"], rank_tol=tols["rank"])
+        report = check_representation(rep, g, tols)
         kind = "representation"
     else:
         raise CLIError(
@@ -273,7 +266,7 @@ def cmd_align(args: argparse.Namespace) -> int:
     g = _load_graph(args.graph)
     rep = rep_from_json(_load_json(args.rep))
 
-    rep_report = check_representation(rep, g, tol=tols["rep"], rank_tol=tols["rank"])
+    rep_report = check_representation(rep, g, tols)
     if not rep_report.passed:
         bad = rep_report.failures()[0]
         out = {
@@ -288,16 +281,16 @@ def cmd_align(args: argparse.Namespace) -> int:
     d = level_decomposition(g)
     classifications = component_classifications(g, d)
     try:
-        ba = align_bases(rep, g, d, classifications, rank_tol=tols["rank"])
-        b2b = check_b2b(rep, ba, g, tol=tols["b2b"], allow_phase=args.phase_slack)
+        ba = align_bases(rep, g, d, classifications, tols)
+        b2b = check_b2b(rep, ba, g, tols, allow_phase=args.phase_slack)
         if not b2b.passed:
             out = {"seed": args.seed, "b2b": b2b.to_json(), "passed": False}
             _emit(out, args)
             bad = b2b.failures()[0]
             print(f"check failed: edge '{bad.item}': {bad.witness}", file=sys.stderr)
             return 1
-        cert = extract_branching_system(rep, ba, g, tol=tols["b2b"])
-        cert = verify_equivalence(rep, cert, g)
+        cert = extract_branching_system(rep, ba, g, tols)
+        cert = verify_equivalence(rep, cert, g, tols)
     except NotApplicableError:
         raise
     except AlignmentError as err:
@@ -305,7 +298,7 @@ def cmd_align(args: argparse.Namespace) -> int:
         print(f"check failed: {err}", file=sys.stderr)
         return 1
 
-    passed = cert.passes(tols["residual"])
+    passed = cert.passes(tols)
     out = {
         "seed": args.seed,
         "system": branching_to_json(cert.system),
@@ -351,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--tol",
         action="append",
         metavar="NAME=VALUE",
-        help=f"override a tolerance; names: {', '.join(sorted(_TOL_DEFAULTS))}",
+        help=f"override a tolerance; names: {', '.join(_TOL_NAMES)}",
     )
     common.add_argument("--format", choices=("json", "text"), default="json")
     common.add_argument("--out", metavar="FILE", help="write the report here instead of stdout")

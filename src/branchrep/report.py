@@ -2,13 +2,36 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 from typing import Iterable, Iterator
 
 
 PASS = "pass"
 FAIL = "fail"
 NOT_APPLICABLE = "n/a"
+
+
+@dataclass(frozen=True)
+class Tolerances:
+    """Every tolerance a check decides by; ``--tol NAME=VALUE`` sets one field.
+
+    The README's Tolerances table says what each field bounds.
+    """
+
+    ck: float = 1e-12
+    rep: float = 1e-10
+    rank: float = 1e-10
+    b2b: float = 1e-9
+    residual: float = 1e-8
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(
+                    f"tolerance '{f.name}' must be finite and nonnegative, got {value}"
+                )
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ from branchrep import (
     DiscreteBranchingSystem,
     NotApplicableError,
     RepresentationError,
+    Tolerances,
     align_bases,
     check_b2b,
     check_representation,
@@ -244,11 +245,12 @@ def test_refuse_band_follows_rank_tol():
     rep = ConcreteRepresentation(
         dim=3, complement_dim=1, edge_matrices={}, vertex_matrices={"a": p}
     )
-    item = check_representation(rep, g, rank_tol=1e-6).item("complement")
+    tols = Tolerances(rank=1e-6)
+    item = check_representation(rep, g, tols).item("complement")
     assert item.status == "fail"
     assert "numerically ambiguous" in item.witness["error"]
     with pytest.raises(DegenerateRankError, match="numerically ambiguous"):
-        align_bases(rep, g, rank_tol=1e-6)
+        align_bases(rep, g, tols=tols)
 
 
 def test_non_finite_rank_is_refused():
@@ -260,6 +262,31 @@ def test_non_finite_rank_is_refused():
     item = check_representation(rep, g).item("complement")
     assert item.status == "fail" and "non-finite" in item.witness["error"]
     with pytest.raises(DegenerateRankError, match="non-finite"):
+        align_bases(rep, g)
+
+
+def nan_in_first_entry(rep, edge_id):
+    edges = dict(rep.edge_matrices)
+    edges[edge_id] = edges[edge_id].copy()
+    edges[edge_id][0, 0] = np.nan
+    return dataclasses.replace(rep, edge_matrices=edges)
+
+
+def test_nan_residual_fails_the_certificate():
+    # a NaN residual that is not the first one must not be skipped
+    g = path_graph(3)
+    rep = random_representation(g, {"v3": 2}, seed=5)
+    cert = extract_branching_system(rep, align_bases(rep, g), g)
+    cert = verify_equivalence(nan_in_first_entry(rep, "e2"), cert, g)
+    assert np.isnan(cert.edge_residuals["e2"])
+    assert np.isnan(cert.max_residual)
+    assert not cert.passes()
+
+
+def test_align_rejects_nan_edge_entry():
+    g = path_graph(3)
+    rep = nan_in_first_entry(random_representation(g, {"v3": 2}, seed=5), "e2")
+    with pytest.raises(AlignmentError, match="not orthonormal"):
         align_bases(rep, g)
 
 
@@ -515,22 +542,12 @@ def test_rep_json_round_trip_is_exact():
     g = path_graph(3)
     rep = random_representation(g, {"v3": 2}, complement_dim=1, seed=23)
     doc = json.loads(json.dumps(rep_to_json(rep)))
-    back = rep_from_json(doc, g, check=True)
+    back = rep_from_json(doc)
     assert back.dim == rep.dim and back.complement_dim == 1
     for e in g.edges:
         assert np.array_equal(back.edge_matrices[e.id], rep.edge_matrices[e.id])
     for v in g.vertices:
         assert np.array_equal(back.vertex_matrices[v], rep.vertex_matrices[v])
-
-
-def test_rep_from_json_check_names_the_failing_relation():
-    g = single_edge_graph()
-    rep = random_representation(g, {"v": 1}, seed=24)
-    doc = rep_to_json(rep)
-    doc["edges"]["e"] = [[1.1 * re, 1.1 * im] for re, im in doc["edges"]["e"]]
-    with pytest.raises(RepresentationError, match="fails check 'ii'"):
-        rep_from_json(doc, g, check=True)
-    rep_from_json(doc)  # without checking, the document still parses
 
 
 @pytest.mark.parametrize(

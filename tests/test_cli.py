@@ -1,10 +1,14 @@
+import dataclasses
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from branchrep import (
+    Tolerances,
     branching_to_json,
     graph_from_json,
     random_representation,
@@ -142,6 +146,9 @@ def test_analyze_out_file(capsys, tmp_path):
         (("ok", "--tol", "ck=abc"), "not a number"),
         (("ok", "--truncate", "-1"), "--truncate must be nonnegative"),
         (("ok", "--boundary", "zzz"), "not in the (truncated) graph"),
+        (("ok", "--tol", "rank=nan"), "finite and nonnegative"),
+        (("ok", "--tol", "rank=inf"), "finite and nonnegative"),
+        (("ok", "--tol", "rep=-1"), "finite and nonnegative"),
     ],
 )
 def test_analyze_exit_2_cases(capsys, tmp_path, argv_tail, fragment):
@@ -157,6 +164,15 @@ def test_analyze_exit_2_cases(capsys, tmp_path, argv_tail, fragment):
     code, out, err = run(capsys, "analyze", head, *rest)
     assert code == 2
     assert fragment in err
+
+
+def test_readme_tolerance_table_lists_the_defaults():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text(encoding="utf-8").split("### Tolerances", 1)[1]
+    rows = re.findall(r"^\| `(\w+)` +\| `([^`]+)` +\|", section, flags=re.MULTILINE)
+    assert [(name, float(value)) for name, value in rows] == [
+        (f.name, f.default) for f in dataclasses.fields(Tolerances)
+    ]
 
 
 # -- synthesize -----------------------------------------------------------------
@@ -258,6 +274,17 @@ def test_induce_rejects_invalid_system_with_report(capsys, tmp_path):
     assert "relations" not in doc
 
 
+def test_induce_rejects_infinite_weight(capsys, tmp_path):
+    gpath = write_json(tmp_path / "g.json", SINGLE_EDGE_DOC)
+    g = graph_from_json(SINGLE_EDGE_DOC)
+    doc = branching_to_json(synthesize(g, {"v": 1}))
+    doc["weights"] = {"0": float("inf"), "1": 1.0}
+    spath = write_json(tmp_path / "bs.json", doc)
+    code, out, err = run(capsys, "induce", spath, "--graph", gpath)
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and "must be positive and finite" in err
+
+
 def test_induce_writes_matrix_files(capsys, tmp_path):
     gpath = write_json(tmp_path / "g.json", SINGLE_EDGE_DOC)
     g = graph_from_json(SINGLE_EDGE_DOC)
@@ -326,6 +353,23 @@ def test_nan_entry_fails_closed(capsys, tmp_path, kind, key):
     code, _, err = run(capsys, "align", rpath, "--graph", gpath)
     assert code == 1
     assert len(err.splitlines()) == 1 and err.startswith("check failed: relation")
+
+
+@pytest.mark.parametrize("rank", ["nan", "inf"])
+def test_verify_rejects_non_finite_rank_tolerance(capsys, tmp_path, rank):
+    # at these cutoffs no singular value counts, so an understated
+    # complement would pass
+    gpath = write_json(tmp_path / "g.json", TWO_LEAF_DOC)
+    g = graph_from_json(TWO_LEAF_DOC)
+    doc = rep_to_json(random_representation(g, {"a": 1, "b": 1}, complement_dim=2, seed=3))
+    doc["complementDim"] = 0
+    rpath = write_json(tmp_path / "rep.json", doc)
+    code, out, _ = run_json(capsys, "verify", rpath, "--graph", gpath)
+    assert code == 1
+    assert {i["item"]: i["status"] for i in out["checks"]}["complement"] == "fail"
+    code, out, err = run(capsys, "verify", rpath, "--graph", gpath, "--tol", f"rank={rank}")
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
 
 
 def test_verify_rejects_shapeless_document(capsys, tmp_path):
