@@ -10,7 +10,9 @@ branching system, with a float path as fallback for hand-built operators.
 
 from __future__ import annotations
 
+import functools
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional
@@ -126,7 +128,7 @@ def induce(bs: DiscreteBranchingSystem, g: DirectedGraph) -> GeneratorFamily:
             mapping[x] = j
             ratio = Fraction(bs.weight(x)) / Fraction(bs.weight(j))
             amplitude_sq[x] = ratio
-            amplitude[x] = math.sqrt(ratio)
+            amplitude[x] = _sqrt_ratio(ratio, x)
         edge_ops[e.id] = WeightedPartialIsometry(
             mapping=mapping, amplitude=amplitude, amplitude_sq=amplitude_sq
         )
@@ -138,6 +140,38 @@ def induce(bs: DiscreteBranchingSystem, g: DirectedGraph) -> GeneratorFamily:
         vertex_projs=vertex_projs,
         weights=dict(bs.weights),
     )
+
+
+def _normal_float(value: Fraction) -> Optional[float]:
+    """float(value) when that is a normal float, else None."""
+    try:
+        f = float(value)
+    except OverflowError:
+        return None
+    return f if f >= sys.float_info.min else None
+
+
+def _float_at(value: Fraction, index: int) -> float:
+    try:
+        return float(value)
+    except OverflowError:
+        raise OperatorError(f"amplitude at {index} is too large for a float") from None
+
+
+def _sqrt_ratio(ratio: Fraction, index: int) -> float:
+    """Square root of a positive exact ratio as a float.
+
+    When float(ratio) leaves the normal floats, the ratio is first divided by
+    an even power of two 4**half, so only the root itself must fit a float.
+    """
+    value = _normal_float(ratio)
+    if value is not None:
+        return math.sqrt(value)
+    half = (ratio.numerator.bit_length() - ratio.denominator.bit_length()) // 2
+    try:
+        return math.ldexp(math.sqrt(ratio / Fraction(4) ** half), half)
+    except OverflowError:
+        raise OperatorError(f"amplitude at {index} is too large for a float") from None
 
 
 def adjoint(t: WeightedPartialIsometry) -> WeightedPartialIsometry:
@@ -164,7 +198,11 @@ def adjoint_weighted(t: WeightedPartialIsometry, weights: dict[int, float]) -> W
     for x, j in t.mapping.items():
         mapping[j] = x
         ratio = Fraction(weights[j]) / Fraction(weights[x])
-        amplitude[j] = t.amplitude[x] * float(ratio)
+        value = _normal_float(ratio)
+        if value is not None:
+            amplitude[j] = t.amplitude[x] * value
+        else:
+            amplitude[j] = _float_at(Fraction(t.amplitude[x]) * ratio, j)
         if amplitude_sq is not None:
             amplitude_sq[j] = t.amplitude_sq[x] * ratio * ratio
     return WeightedPartialIsometry(mapping=mapping, amplitude=amplitude, amplitude_sq=amplitude_sq)
@@ -224,20 +262,13 @@ def coordinate_export(matrix: np.ndarray) -> str:
     if matrix.ndim != 2:
         raise OperatorError("coordinate export needs a 2-d matrix")
     rows, cols = matrix.shape
-    complex_valued = np.iscomplexobj(matrix)
-    lines = []
-    nnz = 0
-    for i in range(rows):
-        for j in range(cols):
-            v = matrix[i, j]
-            if v == 0:
-                continue
-            nnz += 1
-            if complex_valued:
-                lines.append(f"{i} {j} {v.real:.17g} {v.imag:.17g}")
-            else:
-                lines.append(f"{i} {j} {v:.17g}")
-    return "\n".join([f"{rows} {cols} {nnz}"] + lines) + "\n"
+    nz_rows, nz_cols = np.nonzero(matrix)
+    entries = zip(nz_rows.tolist(), nz_cols.tolist(), matrix[nz_rows, nz_cols].tolist())
+    if np.iscomplexobj(matrix):
+        lines = [f"{i} {j} {v.real:.17g} {v.imag:.17g}" for i, j, v in entries]
+    else:
+        lines = [f"{i} {j} {v:.17g}" for i, j, v in entries]
+    return "\n".join([f"{rows} {cols} {len(lines)}"] + lines) + "\n"
 
 
 # -- relation verification --------------------------------------------------
@@ -276,6 +307,11 @@ def verify_ck(fam: GeneratorFamily, g: DirectedGraph, tols: Tolerances = Toleran
     which is what makes the edge operators genuine partial isometries when
     the weights are not all 1. A comparison is exact when every operator in
     it carries ``amplitude_sq`` and falls back to ``tols.ck`` otherwise.
+
+    Item iv is decided by range overlap: adjoint(S_e)·S_f is nonzero exactly
+    when the images of S_e and S_f share an index, so one pass over the
+    images finds the first overlapping pair without forming any product.
+    Each range product S_e·adjoint(S_e) is formed once, for items iii and v.
     """
     ids = {e.id for e in g.edges}
     if set(fam.edge_ops) != ids:
@@ -289,6 +325,10 @@ def verify_ck(fam: GeneratorFamily, g: DirectedGraph, tols: Tolerances = Toleran
     adjoints = {
         e.id: adjoint_weighted(fam.edge_ops[e.id], fam.weights) for e in g.edges
     }
+
+    @functools.cache
+    def range_product(edge_id: str) -> tuple[dict[int, object], bool]:
+        return _as_exact(compose(fam.edge_ops[edge_id], adjoints[edge_id]))
 
     def isometries():
         for e in g.edges:
@@ -304,7 +344,7 @@ def verify_ck(fam: GeneratorFamily, g: DirectedGraph, tols: Tolerances = Toleran
 
     def range_projections():
         for e in g.edges:
-            sq, exact = _as_exact(compose(fam.edge_ops[e.id], adjoints[e.id]))
+            sq, exact = range_product(e.id)
             bound = 1 if exact else 1.0 + tols.ck
             support = fam.vertex_projs[e.src].support
             for x in sorted(sq):
@@ -314,13 +354,20 @@ def verify_ck(fam: GeneratorFamily, g: DirectedGraph, tols: Tolerances = Toleran
                     yield {"edge": e.id, "index": x, "amplitudeSquared": float(sq[x])}
 
     def overlapping_images():
-        for e in g.edges:
-            for f in g.edges:
-                if e.id == f.id:
-                    continue
-                product = compose(adjoints[e.id], fam.edge_ops[f.id])
-                if product.mapping:
-                    yield {"edges": [e.id, f.id], "index": min(product.mapping)}
+        # the first pair (e, f) in edge order whose images meet is the least
+        # (first owner, later owner) over the indices of every image
+        first_owner: dict[int, int] = {}
+        pair = None
+        for b, f in enumerate(g.edges):
+            for j in fam.edge_ops[f.id].mapping.values():
+                a = first_owner.setdefault(j, b)
+                if a != b and (pair is None or (a, b) < pair):
+                    pair = (a, b)
+        if pair is not None:
+            e, f = g.edges[pair[0]], g.edges[pair[1]]
+            image = fam.edge_ops[e.id].range
+            index = min(x for x, j in fam.edge_ops[f.id].mapping.items() if j in image)
+            yield {"edges": [e.id, f.id], "index": index}
 
     def vertex_sums():
         for v in g.vertices:
@@ -329,7 +376,7 @@ def verify_ck(fam: GeneratorFamily, g: DirectedGraph, tols: Tolerances = Toleran
                 continue
             diag: dict[int, object] = {}
             for e in out:
-                sq, _ = _as_exact(compose(fam.edge_ops[e.id], adjoints[e.id]))
+                sq, _ = range_product(e.id)
                 for x in sq:
                     diag[x] = diag.get(x, 0) + sq[x]
             support = fam.vertex_projs[v].support

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 import check_oracle as oracle
 import genutil
+from conftest import star_graph
 from branchrep import (
     ConcreteRepresentation,
     DiscreteBranchingSystem,
@@ -47,10 +48,10 @@ def small_graphs(draw, max_vertices=4, max_edges=5):
 
 
 @st.composite
-def dag_systems(draw):
+def dag_systems(draw, vertices=st.integers(1, 5), extra=st.integers(0, 2)):
     """A synthesized (valid) system on a random acyclic graph, weights redrawn."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    g = genutil.dag_graph(rng, draw(st.integers(1, 5)), extra=draw(st.integers(0, 2)))
+    g = genutil.dag_graph(rng, draw(vertices), extra=draw(extra))
     bs = synthesize(g, genutil.random_sink_dims(rng, g, 2), slack=draw(st.integers(0, 2)))
     weights = {x: draw(WEIGHTS) for x in bs.universe}
     return g, DiscreteBranchingSystem(
@@ -181,6 +182,57 @@ def test_verify_ck_matches_original(case):
     _same(new, old)
     if old.passed:
         assert new.exact == old.exact
+
+
+@st.composite
+def overlapping_families(draw):
+    """Induced families with about half the edge operators from a drawn
+    position on replaced by random partial maps over the whole universe, so
+    images meet in many pairs, pairs late in edge order included."""
+    g, bs = draw(dag_systems(vertices=st.integers(2, 9), extra=st.integers(0, 4)))
+    fam = induce(bs, g)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lead = draw(st.integers(0, len(g.edges) - 1))
+    edge_ops = dict(fam.edge_ops)
+    for e in g.edges[lead:]:
+        if rng.random() < 0.5:
+            edge_ops[e.id] = genutil.random_wpi(rng, len(fam.universe))
+    return g, GeneratorFamily(
+        universe=fam.universe,
+        edge_ops=edge_ops,
+        vertex_projs=fam.vertex_projs,
+        weights=fam.weights,
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(overlapping_families())
+def test_verify_ck_matches_original_on_overlapping_images(case):
+    g, fam = case
+    _same(verify_ck(fam, g), oracle.verify_ck(fam, g))
+
+
+def test_relation_iv_witness_on_a_large_out_star():
+    """One overlap planted between the last two of 3000 edges: e3000 also
+    sends index 0 onto the image {2998} of e2999."""
+    g = star_graph(3000, outward=True)
+    fam = induce(synthesize(g, {v: 1 for v in g.sinks()}), g)
+    assert fam.edge_ops["e2999"].range == {2998}
+    assert fam.edge_ops["e3000"].mapping == {5999: 2999}
+    edge_ops = dict(fam.edge_ops)
+    edge_ops["e3000"] = WeightedPartialIsometry(
+        mapping={5999: 2999, 0: 2998}, amplitude={5999: 1.0, 0: 1.0}
+    )
+    planted = GeneratorFamily(
+        universe=fam.universe,
+        edge_ops=edge_ops,
+        vertex_projs=fam.vertex_projs,
+        weights=fam.weights,
+    )
+    assert verify_ck(fam, g).passed
+    item = verify_ck(planted, g).item("iv")
+    assert item.status == "fail"
+    assert item.witness == {"edges": ["e2999", "e3000"], "index": 0}
 
 
 @st.composite

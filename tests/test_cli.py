@@ -285,6 +285,32 @@ def test_induce_rejects_infinite_weight(capsys, tmp_path):
     assert len(err.splitlines()) == 1 and "must be positive and finite" in err
 
 
+def _induce_with_weights(capsys, tmp_path, weights):
+    gpath = write_json(tmp_path / "g.json", SINGLE_EDGE_DOC)
+    doc = branching_to_json(synthesize(graph_from_json(SINGLE_EDGE_DOC), {"v": 1}))
+    doc["weights"] = {"0": weights[0], "1": weights[1]}
+    spath = write_json(tmp_path / "bs.json", doc)
+    return run(capsys, "induce", spath, "--graph", gpath)
+
+
+@pytest.mark.parametrize("weights", [(1e-308, 1e308), (1e308, 1e-308)])
+def test_induce_exact_at_extreme_finite_weights(capsys, tmp_path, weights):
+    """The weight ratio 1e±616 leaves the float range; the amplitude 1e±308
+    and its adjoint do not, and the relations hold exactly."""
+    code, out, err = _induce_with_weights(capsys, tmp_path, weights)
+    assert code == 0 and err == ""
+    doc = json.loads(out)
+    assert doc["passed"] is True and doc["exact"] is True
+
+
+@pytest.mark.parametrize("weights", [(5e-324, 1.7e308), (1.7e308, 5e-324)])
+def test_induce_rejects_unrepresentable_amplitude(capsys, tmp_path, weights):
+    """An amplitude of about 2**±1049 or its adjoint cannot be a float."""
+    code, out, err = _induce_with_weights(capsys, tmp_path, weights)
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and "too large for a float" in err
+
+
 def test_induce_writes_matrix_files(capsys, tmp_path):
     gpath = write_json(tmp_path / "g.json", SINGLE_EDGE_DOC)
     g = graph_from_json(SINGLE_EDGE_DOC)

@@ -18,13 +18,14 @@ from branchrep import (
     graph_from_json,
     identity_on,
     induce,
+    operators,
     synthesize,
     to_matrix,
     verify_ck,
     wpi_matrix,
     zero_operator,
 )
-from conftest import single_edge_graph
+from conftest import path_graph, single_edge_graph, star_graph
 
 
 def exact_wpi(mapping: dict[int, int]) -> WeightedPartialIsometry:
@@ -360,6 +361,25 @@ def test_verify_ck_float_fallback_sets_exact_false():
     assert not report.exact
 
 
+@pytest.mark.parametrize("edges", [50, 200])
+@pytest.mark.parametrize("shape", ["out-star", "path"])
+def test_verify_ck_forms_at_most_two_products_per_edge(monkeypatch, shape, edges):
+    """Items ii, iii and v need one product per edge each, iii and v the same
+    one; relation iv needs none, so the count stays linear in E."""
+    g = star_graph(edges, outward=True) if shape == "out-star" else path_graph(edges + 1)
+    fam = induce(synthesize(g, {v: 1 for v in g.sinks()}), g)
+    calls = 0
+
+    def counting_compose(a, b):
+        nonlocal calls
+        calls += 1
+        return compose(a, b)
+
+    monkeypatch.setattr(operators, "compose", counting_compose)
+    assert verify_ck(fam, g).passed
+    assert 0 < calls <= 2 * edges
+
+
 # -- text export --------------------------------------------------------------------
 
 
@@ -382,3 +402,57 @@ def test_coordinate_export_is_row_major_and_precise():
 def test_coordinate_export_rejects_non_matrix():
     with pytest.raises(OperatorError, match="2-d matrix"):
         coordinate_export(np.zeros(3))
+
+
+def _entry_loop_export(matrix: np.ndarray) -> str:
+    """The entry-by-entry scan coordinate_export replaced, kept as reference."""
+    rows, cols = matrix.shape
+    complex_valued = np.iscomplexobj(matrix)
+    lines = []
+    nnz = 0
+    for i in range(rows):
+        for j in range(cols):
+            v = matrix[i, j]
+            if v == 0:
+                continue
+            nnz += 1
+            if complex_valued:
+                lines.append(f"{i} {j} {v.real:.17g} {v.imag:.17g}")
+            else:
+                lines.append(f"{i} {j} {v:.17g}")
+    return "\n".join([f"{rows} {cols} {nnz}"] + lines) + "\n"
+
+
+def _export_cases():
+    rng = np.random.default_rng(5)
+    real = rng.standard_normal((7, 5))
+    real[rng.random((7, 5)) < 0.5] = 0.0
+    cplx = real + 1j * rng.standard_normal((7, 5))
+    cplx[0, :] = 0.0
+    cplx[1, 0] = 1j
+    cplx[1, 1] = -0.0 - 0.0j
+    special = np.array(
+        [[np.nan, -0.0, 5e-324], [0.0, -np.inf, 1e-310], [np.inf, -5e-324, 0.1]]
+    )
+    complex_special = np.empty(special.shape, dtype=complex)
+    complex_special.real = special
+    complex_special.imag = special[::-1]
+    return {
+        "real": real,
+        "complex": cplx,
+        "nan-negzero-subnormal": special,
+        "complex-nan-negzero-subnormal": complex_special,
+        "transposed-view": real.T,
+        "float32": real.astype(np.float32),
+        "int64": np.array([[0, 3], [-2, 0]]),
+        "bool": np.array([[True, False], [False, True]]),
+        "identity": np.eye(64),
+        "empty-rows": np.zeros((0, 3)),
+        "all-zero": np.zeros((3, 4)),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_export_cases()))
+def test_coordinate_export_matches_the_entry_loop(name):
+    matrix = _export_cases()[name]
+    assert coordinate_export(matrix) == _entry_loop_export(matrix)
