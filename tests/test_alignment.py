@@ -3,6 +3,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import genutil
 from branchrep import (
@@ -30,7 +32,9 @@ from branchrep import (
     validate,
     verify_equivalence,
     vertex_dimensions,
+    wpi_matrix,
 )
+from branchrep import alignment
 from conftest import path_graph, single_edge_graph, star_graph
 
 
@@ -465,6 +469,22 @@ def test_b2b_phase_slack_forgives_pure_phase():
     assert check_b2b(mutated, ba, g, allow_phase=True).passed
 
 
+def test_b2b_phase_slack_passes_random_trees():
+    # a phase residual formed as sqrt(|img|² + |tv|² − 2|<tv, img>|) loses
+    # all precision to cancellation and reads ~1.5e-8, above b2b
+    rng = np.random.default_rng(24)
+    for _ in range(12):
+        g = genutil.tree_graph(rng, int(rng.integers(2, 8)))
+        dims = genutil.random_sink_dims(rng, g, max_dim=4)
+        rep = random_representation(
+            g, dims, complement_dim=int(rng.integers(0, 3)), seed=int(rng.integers(0, 2**31))
+        )
+        ba = align_bases(rep, g)
+        strict = check_b2b(rep, ba, g)
+        assert strict.passed
+        assert check_b2b(rep, ba, g, allow_phase=True).to_json() == strict.to_json()
+
+
 def test_swapped_unitary_rows_leave_a_visible_residual():
     g = path_graph(3)
     rep = random_representation(g, {"v3": 1}, seed=16)
@@ -523,6 +543,93 @@ def test_random_representation_is_seed_deterministic():
     for e in ("e1", "e2"):
         assert np.array_equal(a.edge_matrices[e], b.edge_matrices[e])
     assert not np.array_equal(a.edge_matrices["e1"], c.edge_matrices["e1"])
+
+
+@st.composite
+def trees_and_forests(draw):
+    """An attachment tree, or a forest cut from one by dropping edges after the first."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    doc = genutil.tree_doc(rng, draw(st.integers(2, 7)))
+    if draw(st.booleans()):
+        first, *rest = doc["edges"]
+        doc["edges"] = [first] + [e for e in rest if rng.integers(0, 2)]
+    g = graph_from_json(doc)
+    return g, genutil.random_sink_dims(rng, g, 3)
+
+
+representation_args = st.tuples(
+    trees_and_forests(), st.integers(0, 2), st.integers(0, 2**32 - 1), st.booleans()
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(representation_args)
+def test_random_representation_passes_check_representation(args):
+    (g, dims), complement_dim, seed, axis_aligned = args
+    rep = random_representation(g, dims, complement_dim, seed, axis_aligned)
+    assert check_representation(rep, g).passed
+
+
+def padded_twist_representation(g, sink_dims, complement_dim, seed, axis_aligned):
+    """``random_representation`` as first written: each edge twist is padded
+    with zeros to an N×N matrix and applied by a full product."""
+    bs = synthesize(g, sink_dims, slack=complement_dim)
+    fam = induce(bs, g)
+    n = len(bs.universe)
+    edge_mats = {
+        e.id: wpi_matrix(fam.edge_ops[e.id], n).astype(complex) for e in g.edges
+    }
+    vertex_mats = {
+        v: wpi_matrix(fam.vertex_projs[v].as_partial_isometry(), n).astype(complex)
+        for v in g.vertices
+    }
+    if not axis_aligned:
+        rng = np.random.default_rng(seed)
+        for e in g.edges:
+            block = sorted(bs.domain_sets[e.rng])
+            w = haar_unitary(len(block), rng)
+            w_full = np.zeros((n, n), dtype=complex)
+            w_full[np.ix_(block, block)] = w
+            edge_mats[e.id] = edge_mats[e.id] @ w_full
+        gmat = haar_unitary(n, rng)
+        gstar = gmat.conj().T
+        edge_mats = {k: gmat @ m @ gstar for k, m in edge_mats.items()}
+        vertex_mats = {k: gmat @ m @ gstar for k, m in vertex_mats.items()}
+    return edge_mats, vertex_mats
+
+
+@settings(max_examples=60, deadline=None)
+@given(representation_args)
+def test_block_twist_is_bit_identical_to_padded_twist(args):
+    (g, dims), complement_dim, seed, axis_aligned = args
+    rep = random_representation(g, dims, complement_dim, seed, axis_aligned)
+    edge_mats, vertex_mats = padded_twist_representation(
+        g, dims, complement_dim, seed, axis_aligned
+    )
+    for mine, reference in (
+        (rep.edge_matrices, edge_mats),
+        (rep.vertex_matrices, vertex_mats),
+    ):
+        assert list(mine) == list(reference)
+        for key, m in mine.items():
+            assert m.dtype == reference[key].dtype
+            assert m.tobytes() == reference[key].tobytes()
+
+
+@pytest.mark.parametrize("axis_aligned", [False, True])
+def test_random_representation_runs_no_relation_check(monkeypatch, axis_aligned):
+    calls = []
+    monkeypatch.setattr(
+        alignment,
+        "check_representation",
+        lambda *args, **kw: calls.append(args) or check_representation(*args, **kw),
+    )
+    g = path_graph(4)
+    rep = random_representation(
+        g, {"v4": 2}, complement_dim=1, seed=3, axis_aligned=axis_aligned
+    )
+    assert calls == []
+    assert check_representation(rep, g).passed
 
 
 def test_axis_aligned_matches_induced_canonical_matrices():

@@ -26,6 +26,15 @@ TWO_LEAF_DOC = {
     ],
 }
 
+FOUR_VERTEX_TREE_DOC = {
+    "vertices": ["r", "a", "b", "c"],
+    "edges": [
+        {"id": "e1", "src": "r", "rng": "a"},
+        {"id": "e2", "src": "r", "rng": "b"},
+        {"id": "e3", "src": "a", "rng": "c"},
+    ],
+}
+
 SINGLE_EDGE_DOC = {
     "vertices": ["u", "v"],
     "edges": [{"id": "e", "src": "u", "rng": "v"}],
@@ -381,6 +390,25 @@ def test_nan_entry_fails_closed(capsys, tmp_path, kind, key):
     assert len(err.splitlines()) == 1 and err.startswith("check failed: relation")
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "kind, key, value",
+    [("edges", "e", float("inf")), ("vertices", "v", float("inf")), ("edges", "e", 1e308)],
+)
+def test_infinite_entry_fails_closed_without_warnings(capsys, tmp_path, kind, key, value):
+    gpath = write_json(tmp_path / "g.json", SINGLE_EDGE_DOC)
+    g = graph_from_json(SINGLE_EDGE_DOC)
+    doc = rep_to_json(random_representation(g, {"v": 2}, complement_dim=1, seed=3))
+    doc[kind][key][4] = [value, 0.0]
+    rpath = write_json(tmp_path / "rep.json", doc)
+    code, out, err = run_json(capsys, "verify", rpath, "--graph", gpath)
+    assert code == 1 and err == ""
+    assert out["passed"] is False
+    code, _, err = run(capsys, "align", rpath, "--graph", gpath)
+    assert code == 1
+    assert len(err.splitlines()) == 1 and err.startswith("check failed: relation")
+
+
 @pytest.mark.parametrize("rank", ["nan", "inf"])
 def test_verify_rejects_non_finite_rank_tolerance(capsys, tmp_path, rank):
     # at these cutoffs no singular value counts, so an understated
@@ -487,6 +515,22 @@ def test_align_phase_slack_flag(capsys, tmp_path):
         capsys, "align", rpath, "--graph", gpath, "--phase-slack"
     )
     assert code == 0 and doc["passed"] is True
+
+
+@pytest.mark.parametrize(
+    "dims, seed, dim", [({"b": 3, "c": 4}, 1, 19), ({"b": 2, "c": 1}, 2, 8)]
+)
+def test_align_phase_slack_accepts_honest_tree(capsys, tmp_path, dims, seed, dim):
+    gpath = write_json(tmp_path / "g.json", FOUR_VERTEX_TREE_DOC)
+    g = graph_from_json(FOUR_VERTEX_TREE_DOC)
+    rep = random_representation(g, dims, complement_dim=1, seed=seed)
+    assert rep.dim == dim
+    rpath = write_json(tmp_path / "rep.json", rep_to_json(rep))
+    code, strict, _ = run_json(capsys, "align", rpath, "--graph", gpath)
+    assert code == 0
+    code, out, err = run_json(capsys, "align", rpath, "--graph", gpath, "--phase-slack")
+    assert code == 0 and err == ""
+    assert out == strict
 
 
 def test_align_residual_tolerance_can_force_failure(capsys, tmp_path):
