@@ -132,6 +132,20 @@ def check_representation(
     fill the vertex subspace), 'complement' (rank of what is left equals the
     declared complement dimension). Errors are held to ``tols.rep`` and the
     complement's rank is cut at ``tols.rank``.
+
+    Items i and iv are pairwise. A screen first builds one orthonormal basis
+    per vertex range and forms one Gram matrix of the stacked vertex bases
+    and one of the stacked edge images. From these, measured residuals and
+    Higham's rounding bounds it proves, pair by pair, that the largest entry
+    the check would compute is within ``tols.rep`` (see ``_pair_screen``).
+    Only pairs it cannot clear get their N×N product, in the same order as
+    before, so the first witness and its float value are unchanged. The
+    bound holds for any computed basis, so a poor basis or a dishonest input
+    can only leave pairs to the exact product. The screen is skipped, and
+    every pair gets its product, when an entry is non-finite, when a vertex
+    trace rounds outside [0, N], or when the vertex bases or the edge images
+    would stack wider than N. The bases only steer the screen; ranks in the
+    report still come from ``_svd_rank``.
     """
     if set(rep.edge_matrices) != {e.id for e in g.edges}:
         raise RepresentationError("edge matrices do not match the graph's edges")
@@ -140,6 +154,7 @@ def check_representation(
 
     p = rep.vertex_matrices
     s = rep.edge_matrices
+    cleared_i, cleared_iv = _pair_screen(rep, g, tols.rep) or ((), ())
 
     def projections():
         for v in g.vertices:
@@ -177,14 +192,16 @@ def check_representation(
                 yield {"declared": rep.complement_dim, "actual": rank}
 
     vertex_pairs = (
-        ({"vertices": [a, b]}, p[a] @ p[b]) for a, b in combinations(g.vertices, 2)
+        ({"vertices": [a, b]}, p[a] @ p[b])
+        for a, b in combinations(g.vertices, 2)
+        if (a, b) not in cleared_i
     )
     isometries = (({"edge": e.id}, s[e.id].conj().T @ s[e.id] - p[e.rng]) for e in g.edges)
     edge_pairs = (
         ({"edges": [e.id, f.id]}, s[e.id].conj().T @ s[f.id])
         for e in g.edges
         for f in g.edges
-        if e.id != f.id
+        if e.id != f.id and (e.id, f.id) not in cleared_iv
     )
     return Report(
         (
@@ -197,6 +214,135 @@ def check_representation(
             first_witness("complement", complement()),
         )
     )
+
+
+# -- the pair screen ---------------------------------------------------------
+
+_EPS = float(np.finfo(float).eps)
+# an entry below this squares to less than the smallest normal float, so the
+# square root of a sum of m squares can come out short by up to √m times this
+_UNDERFLOW = float(np.sqrt(np.finfo(float).tiny))
+
+
+def _gamma(m: int) -> float:
+    """Higham's γ for an inner product of length m, rounded up for complex data.
+
+    A computed product with inner dimension m is within γ(m)·|A|·|B| of the
+    exact one, entry by entry, in any summation order (Higham, *Accuracy and
+    Stability of Numerical Algorithms*, 2nd ed., §3.5–3.6; (m+2)·ε covers
+    the √2·γ_{m+2} of complex arithmetic).
+    """
+    c = (m + 2) * _EPS
+    return c / (1 - c)
+
+
+def _gram_bounds(blocks: list[np.ndarray], n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Bounds read off one Gram matrix of the column blocks T_1, …, T_m of C^n.
+
+    Returns ``h`` and ``t``: h[a, b] ≥ ‖T_a*·T_b‖₂ for a ≠ b,
+    h[a, a] ≥ ‖T_a*·T_a − I‖₂, and t[a] = √(1 + h[a, a]) ≥ ‖T_a‖₂. Each is
+    the Frobenius norm of a block of the computed Gram matrix plus γ(n)
+    times the blocks' Frobenius norms for forming it, and the underflow
+    allowance.
+    """
+    stacked = np.hstack(blocks)
+    k = stacked.shape[1]
+    widths = [b.shape[1] for b in blocks]
+    owner = np.zeros((k, len(blocks)))
+    owner[np.arange(k), np.repeat(np.arange(len(blocks)), widths)] = 1.0
+    dev = stacked.conj().T @ stacked - np.eye(k)
+    dev_fro = np.sqrt(owner.T @ (dev.real**2 + dev.imag**2) @ owner)
+    t_fro = np.sqrt((stacked.real**2 + stacked.imag**2).sum(axis=0) @ owner)
+    t_fro += np.sqrt(n * k) * _UNDERFLOW
+    h = dev_fro + k * _UNDERFLOW + _gamma(n) * np.outer(t_fro, t_fro)
+    return h, np.sqrt(1.0 + np.diag(h))
+
+
+def _residual(
+    m: np.ndarray, left: np.ndarray, left_norm: float, right: np.ndarray, right_norm: float
+) -> float:
+    """An upper bound on ‖m − left·right*‖₂, the product taken exactly.
+
+    ``left_norm`` and ``right_norm`` bound the factors' 2-norms, and so the
+    rounding of the product formed here.
+    """
+    k = left.shape[1]
+    w = m - left @ right.conj().T
+    computed = float(np.sqrt(np.vdot(w, w).real))
+    return computed / (1 - _EPS) + _gamma(k) * k * left_norm * right_norm + len(m) * _UNDERFLOW
+
+
+def _pair_screen(
+    rep: ConcreteRepresentation, g: DirectedGraph, tol: float
+) -> Optional[tuple[set[tuple[str, str]], set[tuple[str, str]]]]:
+    """Vertex pairs (item i) and ordered edge pairs (item iv) that provably pass.
+
+    A pair is in the result only when an upper bound on the largest entry
+    that ``check_representation`` would compute for it is at most ``tol``.
+    None means the screen is skipped: an entry is non-finite, a vertex trace
+    rounds outside [0, N], or the vertex bases or the edge images stack
+    wider than N.
+
+    Each vertex gets an orthonormal B_v, the Q of P_v·Ω for a fixed-seed
+    complex Gaussian Ω with k_v = round(Re tr P_v) columns (a randomized
+    range finder: Halko, Martinsson & Tropp, SIAM Review 53(2), 2011), and
+    each edge the image T_e = S_e·B_rng(e). Write X_a = T_a·C_a* + Q_a for the
+    factor whose adjoint leads a pair's product: X_a = P_a* with T = C = B_a
+    for item i, X_e = S_e with T = T_e and C = B_rng(e) for item iv. Then
+
+        ‖X_a*·X_b‖₂ ≤ c_a·‖T_a*·T_b‖₂·c_b + c_a·t_a·q_b + q_a·x_b,
+
+    with c ≥ ‖C‖₂ and t ≥ ‖T‖₂ read off the Gram matrices, q ≥ ‖Q‖₂
+    measured, and x = t·c + q ≥ ‖X‖₂. No entry exceeds the 2-norm, and
+    γ(N)·x_a·x_b covers the rounding of the product the check itself forms.
+    Every term holds for whatever B_v and T_e were computed, so a wrong k_v,
+    an oblique projection or a dishonest input only leaves pairs uncleared.
+    """
+    p = rep.vertex_matrices
+    s = rep.edge_matrices
+    n = rep.dim
+    if not all(np.isfinite(m).all() for m in (*p.values(), *s.values())):
+        return None
+    traces = np.array([np.trace(p[v]).real for v in g.vertices])
+    if not np.all((-0.5 < traces) & (traces < n + 0.5)):
+        return None
+    ranks = dict(zip(g.vertices, np.rint(traces).astype(int).tolist()))
+    if sum(ranks.values()) > n or sum(ranks[e.rng] for e in g.edges) > n:
+        return None
+    if len(g.vertices) < 2 and len(g.edges) < 2:
+        return set(), set()
+
+    def cleared(names, h, t, c, q):
+        x = t * c + q
+        bound = np.outer(c, c) * h + np.outer(c * t, q) + np.outer(q, x)
+        bound += _gamma(n) * np.outer(x, x)
+        # every term is a sum or product of nonnegative computed values, each
+        # rounded by at most γ(n²) relative to its size
+        bound *= 1 + _gamma(2 * n * n + 64)
+        return {(names[a], names[b]) for a, b in zip(*np.nonzero(bound <= tol)) if a != b}
+
+    omega = np.random.default_rng(0).standard_normal((n, 2 * max(ranks.values())))
+    omega = omega.view(complex)
+    by_vertex = {}
+    for k in set(ranks.values()):  # one batched QR per distinct rank
+        group = [v for v in g.vertices if ranks[v] == k]
+        qs, _ = np.linalg.qr(np.stack([p[v] @ omega[:, :k] for v in group]))
+        by_vertex.update(zip(group, qs))
+    bases = [by_vertex[v] for v in g.vertices]
+    h_i, beta = _gram_bounds(bases, n)
+    r = np.array([_residual(p[v], b, t, b, t) for v, b, t in zip(g.vertices, bases, beta)])
+    cleared_i = cleared(g.vertices, h_i, beta, beta, r)
+    if len(g.edges) < 2:
+        return cleared_i, set()
+
+    rng_of = [g.vertex_position(e.rng) for e in g.edges]
+    images = [s[e.id] @ bases[i] for e, i in zip(g.edges, rng_of)]
+    h_iv, tau = _gram_bounds(images, n)
+    q = np.array([
+        _residual(s[e.id], image, t, bases[i], beta[i])
+        for e, image, t, i in zip(g.edges, images, tau, rng_of)
+    ])
+    return cleared_i, cleared([e.id for e in g.edges], h_iv, tau, beta[rng_of], q)
 
 
 # -- random models -----------------------------------------------------------
@@ -233,6 +379,9 @@ def random_representation(
     bs = synthesize(g, sink_dims, slack=complement_dim)
     fam = induce(bs, g)
     n = len(bs.universe)
+    if n <= 0:
+        # the same error ConcreteRepresentation raises, before any Haar draw
+        raise RepresentationError(f"dim must be positive, got {n}")
     edge_mats = {
         e.id: wpi_matrix(fam.edge_ops[e.id], n).astype(complex) for e in g.edges
     }

@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
@@ -125,9 +126,32 @@ def _text_lines(doc: object, indent: int = 0) -> list[str]:
     return lines
 
 
+def _non_finite_as_strings(obj: object) -> object:
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return "NaN" if math.isnan(obj) else ("Infinity" if obj > 0 else "-Infinity")
+    if isinstance(obj, dict):
+        return {k: _non_finite_as_strings(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_non_finite_as_strings(v) for v in obj]
+    return obj
+
+
+def _json_text(doc: object) -> str:
+    """Indented, key-sorted JSON that RFC 8259 parsers accept.
+
+    JSON has no literal for a non-finite float, so a NaN or infinite value is
+    written as the string "NaN", "Infinity" or "-Infinity".
+    """
+    try:
+        text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError:
+        text = json.dumps(_non_finite_as_strings(doc), indent=2, sort_keys=True)
+    return text + "\n"
+
+
 def _emit(doc: object, args: argparse.Namespace) -> None:
     if args.format == "json":
-        text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        text = _json_text(doc)
     else:
         text = "\n".join(_text_lines(doc)) + "\n"
     if args.out:
@@ -312,15 +336,12 @@ def cmd_align(args: argparse.Namespace) -> int:
         directory = Path(args.out_dir)
         directory.mkdir(parents=True, exist_ok=True)
         (directory / "system.json").write_text(
-            json.dumps(branching_to_json(cert.system), indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
+            _json_text(branching_to_json(cert.system)), encoding="utf-8"
         )
         (directory / "unitary.txt").write_text(
             coordinate_export(cert.unitary), encoding="utf-8"
         )
-        (directory / "report.json").write_text(
-            json.dumps(out, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
+        (directory / "report.json").write_text(_json_text(out), encoding="utf-8")
     _emit(out, args)
     return 0 if passed else 1
 

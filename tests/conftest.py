@@ -1,9 +1,23 @@
 import json
+import os
 from pathlib import Path
 
 import pytest
+from hypothesis import settings
 
 from branchrep import DirectedGraph, graph_from_json
+
+# HYPOTHESIS_PROFILE=ci (set by the CI workflow) draws every property's
+# examples from a fixed seed, so a counterexample found there reproduces
+# anywhere, and runs the oracle properties longer. Without it the run is
+# hypothesis's default, randomised.
+settings.register_profile("ci", derandomize=True, deadline=None, max_examples=600)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
+
+
+def oracle_examples(local: int) -> int:
+    """max_examples for an oracle property: ``local``, or the profile's if larger."""
+    return max(local, settings.default.max_examples)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = Path(__file__).parent / "golden"

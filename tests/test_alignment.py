@@ -632,6 +632,20 @@ def test_random_representation_runs_no_relation_check(monkeypatch, axis_aligned)
     assert check_representation(rep, g).passed
 
 
+@pytest.mark.parametrize("axis_aligned", [False, True])
+def test_random_representation_of_size_zero_raises_one_error(monkeypatch, axis_aligned):
+    """Two isolated vertices and no complement give N = 0 in both modes; it
+    is refused with ConcreteRepresentation's error before any Haar draw."""
+
+    def no_haar(*args):
+        pytest.fail("haar_unitary called for N = 0")
+
+    monkeypatch.setattr(alignment, "haar_unitary", no_haar)
+    g = graph_from_json({"vertices": ["u", "v"], "edges": []})
+    with pytest.raises(RepresentationError, match=r"^dim must be positive, got 0$"):
+        random_representation(g, {}, complement_dim=0, axis_aligned=axis_aligned)
+
+
 def test_axis_aligned_matches_induced_canonical_matrices():
     g = path_graph(3)
     rep = random_representation(g, {"v3": 2}, complement_dim=1, axis_aligned=True)

@@ -3,23 +3,28 @@
 ``check_oracle`` holds the original ``validate``, ``verify_ck`` and
 ``check_representation`` verbatim; on every input the library must produce
 byte-identical reports, and the same ``exact`` flag on passing relation
-reports.
+reports. The one exception is a dense representation with a non-finite
+entry, where the original lets NaN errors pass and the library fails them.
 """
 
+import dataclasses
 import json
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import check_oracle as oracle
 import genutil
-from conftest import star_graph
+from conftest import oracle_examples, star_graph
 from branchrep import (
     ConcreteRepresentation,
     DiscreteBranchingSystem,
     GeneratorFamily,
+    Tolerances,
     WeightedPartialIsometry,
     check_representation,
     graph_from_json,
@@ -29,6 +34,7 @@ from branchrep import (
     validate,
     verify_ck,
 )
+from branchrep import alignment
 
 WEIGHTS = st.sampled_from([0.5, 1.0, 2.0, 3.0, 0.25])
 
@@ -116,7 +122,7 @@ def mutated_systems(draw):
     )
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=oracle_examples(150), deadline=None)
 @given(st.one_of(random_systems(), dag_systems(), mutated_systems()))
 def test_validate_matches_original(case):
     g, bs = case
@@ -173,7 +179,7 @@ def families(draw):
     )
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=oracle_examples(150), deadline=None)
 @given(families())
 def test_verify_ck_matches_original(case):
     g, fam = case
@@ -205,7 +211,7 @@ def overlapping_families(draw):
     )
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=oracle_examples(150), deadline=None)
 @given(overlapping_families())
 def test_verify_ck_matches_original_on_overlapping_images(case):
     g, fam = case
@@ -235,11 +241,53 @@ def test_relation_iv_witness_on_a_large_out_star():
     assert item.witness == {"edges": ["e2999", "e3000"], "index": 0}
 
 
+REP_TOLERANCES = st.sampled_from(
+    [Tolerances(rep=1e-14), Tolerances(rep=1e-10), Tolerances(rep=1e-6)]
+)
+
+
+def _unit_in_range(rng, p):
+    x = p @ (rng.standard_normal(p.shape[0]) + 1j * rng.standard_normal(p.shape[0]))
+    return x / np.linalg.norm(x)
+
+
+def plant_vertex_overlap(rng, rep, a, b, size):
+    """P_a plus a rank-2 Hermitian term joining unit vectors u of range(P_a)
+    and w of range(P_b), scaled so that the largest entry of P_a·P_b grows
+    by about ``size``."""
+    u = _unit_in_range(rng, rep.vertex_matrices[a])
+    w = _unit_in_range(rng, rep.vertex_matrices[b])
+    scale = size / (np.abs(u).max() * np.abs(w).max())
+    vertices = dict(rep.vertex_matrices)
+    vertices[a] = vertices[a] + scale * (np.outer(u, w.conj()) + np.outer(w, u.conj()))
+    return dataclasses.replace(rep, vertex_matrices=vertices)
+
+
+def plant_edge_overlap(rep, e, f, size):
+    """S_e plus a multiple of S_f, scaled so that the largest entry of
+    S_e*·S_f grows by about ``size``."""
+    s_f = rep.edge_matrices[f]
+    edges = dict(rep.edge_matrices)
+    edges[e] = edges[e] + size / np.abs(s_f.conj().T @ s_f).max() * s_f
+    return dataclasses.replace(rep, edge_matrices=edges)
+
+
 @st.composite
 def dense_representations(draw):
-    """A random honest representation with one finite mutation applied."""
+    """A random honest representation with one mutation, and the tolerances
+    to check it at.
+
+    Graphs are attachment trees or in-stars (every edge into one vertex) of
+    2 to 12 vertices. Mutations: the finite ones below, an item-i or item-iv
+    overlap planted at 0.5 or 2 times the tolerance, or one non-finite entry.
+    """
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    g = genutil.tree_graph(rng, draw(st.integers(2, 4)))
+    size = draw(st.integers(2, 12))
+    if draw(st.booleans()):
+        g = genutil.tree_graph(rng, size)
+    else:
+        g = star_graph(size - 1, outward=False)
+    tols = draw(REP_TOLERANCES)
     rep = random_representation(
         g,
         genutil.random_sink_dims(rng, g, 2),
@@ -252,11 +300,15 @@ def dense_representations(draw):
     complement_dim = rep.complement_dim
     n = rep.dim
     kind = draw(
-        st.sampled_from(["none", "real", "entry", "scale", "swap", "rank", "complement"])
+        st.sampled_from(
+            ["none", "real", "entry", "scale", "swap", "rank", "complement",
+             "overlap-i", "overlap-iv", "non-finite"]
+        )
     )
     mats = edges if edges and draw(st.booleans()) else vertices
     key = draw(st.sampled_from(sorted(mats)))
     size = 10.0 ** draw(st.integers(-14, -1))
+    planted = draw(st.sampled_from([0.5, 2.0])) * tols.rep
     if kind == "real":
         edges = {k: m.real.copy() for k, m in edges.items()}
         vertices = {k: m.real.copy() for k, m in vertices.items()}
@@ -276,16 +328,122 @@ def dense_representations(draw):
         vertices[v] = vertices[v] + size * np.outer(u, u.conj())
     elif kind == "complement":
         complement_dim = max(0, complement_dim + draw(st.sampled_from([-1, 1])))
+    elif kind == "overlap-i":
+        a, b = draw(st.permutations(g.vertices))[:2]
+        return g, plant_vertex_overlap(rng, rep, a, b, planted), tols
+    elif kind == "overlap-iv" and len(edges) > 1:
+        e, f = draw(st.permutations(sorted(edges)))[:2]
+        return g, plant_edge_overlap(rep, e, f, planted), tols
+    elif kind == "non-finite":
+        m = mats[key].copy()
+        m[draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))] = draw(
+            st.sampled_from([np.inf, -np.inf, np.nan, complex(0.0, np.inf)])
+        )
+        mats[key] = m
     return g, ConcreteRepresentation(
         dim=n,
         complement_dim=complement_dim,
         edge_matrices=edges,
         vertex_matrices=vertices,
+    ), tols
+
+
+def _all_finite(rep):
+    return all(
+        np.isfinite(m).all()
+        for m in (*rep.edge_matrices.values(), *rep.vertex_matrices.values())
     )
 
 
-@settings(max_examples=120, deadline=None)
+@settings(max_examples=oracle_examples(300), deadline=None)
 @given(dense_representations())
 def test_check_representation_matches_original(case):
-    g, rep = case
+    """Byte-identical to the original pairwise scan on finite input.
+
+    The original scan lets a NaN error pass (``err > tol``), which the
+    library fails closed; on non-finite input the screen must stand aside,
+    so every pair gets the exact product.
+    """
+    g, rep, tols = case
+    report = check_representation(rep, g, tols)
+    if _all_finite(rep):
+        _same(report, oracle.check_representation(rep, g, tols.rep))
+    else:
+        assert alignment._pair_screen(rep, g, tols.rep) is None
+        assert not report.passed
+
+
+def _tree_150():
+    """An honest representation on a 30-vertex attachment tree: 147 indices
+    from the vertices plus a complement of 3, N = 150."""
+    g = genutil.tree_graph(np.random.default_rng(6), 30)
+    return g, random_representation(g, {v: 3 for v in g.sinks()}, complement_dim=3, seed=5)
+
+
+def test_screen_clears_every_pair_of_an_honest_large_tree():
+    g, rep = _tree_150()
+    assert rep.dim == 150 and len(g.vertices) == 30
+    cleared_i, cleared_iv = alignment._pair_screen(rep, g, Tolerances().rep)
+    assert cleared_i >= set(combinations(g.vertices, 2))
+    ids = [e.id for e in g.edges]
+    assert cleared_iv == {(e, f) for e in ids for f in ids if e != f}
+    assert check_representation(rep, g).passed
+
+
+@pytest.mark.parametrize("item", ["i", "iv"])
+@pytest.mark.parametrize("factor", [0.5, 2.0])
+def test_planted_pair_is_reported_as_the_original_reports_it(item, factor):
+    """A pair planted at 0.5 or 2 times the tolerance passes or fails as in
+    the original scan; at 2 times the screen must leave it to the exact
+    product, which reports the original's float."""
+    g, rep = _tree_150()
+    tols = Tolerances()
+    if item == "i":
+        pair = g.vertices[4], g.vertices[17]
+        rep = plant_vertex_overlap(np.random.default_rng(0), rep, *pair, factor * tols.rep)
+    else:
+        pair = g.edges[6].id, g.edges[21].id
+        rep = plant_edge_overlap(rep, *pair, factor * tols.rep)
+    report = check_representation(rep, g, tols)
+    _same(report, oracle.check_representation(rep, g, tols.rep))
+    if factor < 1:
+        assert report.item(item).status == "pass"
+    else:
+        assert pair not in alignment._pair_screen(rep, g, tols.rep)[item == "iv"]
+        witness = report.item(item).witness
+        assert witness[{"i": "vertices", "iv": "edges"}[item]] == list(pair)
+        assert witness["error"] > tols.rep
+
+
+def _skip_cases():
+    """Representations the screen must skip, by why."""
+    g = genutil.tree_graph(np.random.default_rng(8), 6)
+    rep = random_representation(g, {v: 2 for v in g.sinks()}, complement_dim=1, seed=2)
+    v, w = g.vertices[:2]
+    eye = np.eye(rep.dim, dtype=complex)
+    # two traces of N: the vertex bases stack 2N wide
+    wide = dataclasses.replace(rep, vertex_matrices={**rep.vertex_matrices, v: eye, w: eye})
+    # a trace of 1.5·N rounds outside [0, N]
+    big = dataclasses.replace(rep, vertex_matrices={**rep.vertex_matrices, v: 1.5 * eye})
+    # four edges into c, of trace 3, with the leaves' projections zeroed: the
+    # vertex bases stack 3 wide, the edge images 12, and N is 10
+    instar = star_graph(4, outward=False)
+    honest = random_representation(instar, {"c": 2}, seed=4)
+    assert honest.dim == 10
+    leaves = {v: np.zeros((10, 10), dtype=complex) for v in instar.vertices if v != "c"}
+    c = np.diag([1.0, 1.0, 1.0] + [0.0] * 7).astype(complex)
+    edge_wide = dataclasses.replace(honest, vertex_matrices={**leaves, "c": c})
+    return {
+        "stack wider than N": (g, wide),
+        "trace out of range": (g, big),
+        "edge images wider than N": (instar, edge_wide),
+    }
+
+
+@pytest.mark.parametrize(
+    "why", ["stack wider than N", "trace out of range", "edge images wider than N"]
+)
+def test_screen_is_skipped_and_reports_match_the_original(why):
+    g, rep = _skip_cases()[why]
+    assert alignment._pair_screen(rep, g, Tolerances().rep) is None
     _same(check_representation(rep, g), oracle.check_representation(rep, g))

@@ -409,6 +409,34 @@ def test_infinite_entry_fails_closed_without_warnings(capsys, tmp_path, kind, ke
     assert len(err.splitlines()) == 1 and err.startswith("check failed: relation")
 
 
+@pytest.mark.parametrize(
+    "kind, key, token", [("edges", "e", "NaN"), ("vertices", "v", "Infinity")]
+)
+def test_non_finite_witness_is_written_as_rfc_8259_json(capsys, tmp_path, kind, key, token):
+    """An infinite entry gives NaN or infinite witness values; each is written
+    as a string, never as the bare token that jq and JSON.parse reject."""
+    gpath = write_json(tmp_path / "g.json", SINGLE_EDGE_DOC)
+    g = graph_from_json(SINGLE_EDGE_DOC)
+    doc = rep_to_json(random_representation(g, {"v": 2}, complement_dim=1, seed=3))
+    doc[kind][key][4] = [float("inf"), 0.0]
+    rpath = write_json(tmp_path / "rep.json", doc)
+    code, out, _ = run(capsys, "verify", rpath, "--graph", gpath)
+    assert code == 1
+
+    def reject(token):
+        raise ValueError(f"{token} is not RFC 8259 JSON")
+
+    report = json.loads(out, parse_constant=reject)
+    assert report["passed"] is False
+    values = [
+        value
+        for item in report["checks"]
+        if isinstance(item["witness"], dict)
+        for value in item["witness"].values()
+    ]
+    assert token in values
+
+
 @pytest.mark.parametrize("rank", ["nan", "inf"])
 def test_verify_rejects_non_finite_rank_tolerance(capsys, tmp_path, rank):
     # at these cutoffs no singular value counts, so an understated

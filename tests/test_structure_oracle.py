@@ -21,7 +21,7 @@ from branchrep import (
     graph_from_json,
     level_decomposition,
 )
-from conftest import path_graph
+from conftest import oracle_examples, path_graph
 
 
 @st.composite
@@ -64,7 +64,7 @@ def _same_structure(g, d):
         assert component_is_p_simple(g, comp) == oracle.component_is_p_simple(g, comp)
 
 
-@settings(max_examples=400, deadline=None)
+@settings(max_examples=oracle_examples(400), deadline=None)
 @given(multigraph_docs())
 def test_structure_matches_quadratic_oracle(doc):
     g = graph_from_json(doc)
@@ -77,7 +77,7 @@ def test_structure_matches_quadratic_oracle(doc):
     _same_structure(g, d)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=oracle_examples(200), deadline=None)
 @given(multigraph_docs(), st.data())
 def test_check_structure_matches_quadratic_oracle_on_claimed_levels(doc, data):
     """check_structure takes any claimed decomposition, not only honest ones."""
