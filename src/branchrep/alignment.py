@@ -4,10 +4,11 @@ Given matrices satisfying the graph relations on C^N, this module chooses an
 orthonormal basis adapted to the graph (one block per vertex plus a
 complement), checks that every edge operator carries its range vertex's block
 bijectively onto a sub-block of the source vertex, and extracts from that a
-discrete branching system together with the change-of-basis unitary. The
-construction walks the level structure of the graph in two sweeps: upward
-through vertices whose single higher edge points into them, then downward
-from the top through the rest.
+discrete branching system together with the change-of-basis unitary. Blocks
+are built sinks first: a sink's block is a basis of its projection's range,
+and any other vertex's block is its out-edges' images of their range
+vertices' blocks, side by side. The paper's level structure decides only
+whether the construction applies.
 """
 
 from __future__ import annotations
@@ -20,17 +21,15 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from .branching import DiscreteBranchingSystem, synthesize, validate, vertex_dimensions
-from .graph import DirectedGraph, decompose, is_p_simple
+from .graph import DirectedGraph, is_p_simple, sink_first_order
 from .operators import induce, wpi_matrix
 from .report import FAIL, PASS, CheckItem, Report, Tolerances, first_witness
 from .structure import (
     Classification,
     ClassificationKind,
     LevelDecomposition,
-    Role,
     component_classifications,
     level_decomposition,
-    vertex_roles,
 )
 
 # the defaults as plain names, for callers that compare against one
@@ -453,7 +452,7 @@ def _svd_basis(m: np.ndarray, rank_tol: float) -> np.ndarray:
     return u[:, :rank]
 
 
-# -- the two-sweep basis construction ----------------------------------------
+# -- the sink-first basis construction ---------------------------------------
 
 
 def align_bases(
@@ -463,18 +462,19 @@ def align_bases(
     classifications: Optional[Sequence[tuple[tuple[str, ...], Classification]]] = None,
     tols: Tolerances = Tolerances(),
 ) -> BasisAssignment:
-    """Choose the adapted global basis by sweeping the level structure.
+    """Choose the adapted global basis, settling vertices sinks first.
 
-    Sweep one walks levels upward through vertices whose unique higher edge
-    points into them; each such vertex's block is the concatenation of its
-    outgoing edges' image blocks (or a free basis if it has none), and the
-    new block is then pushed through every edge arriving at that vertex.
-    Sweep two starts at the top — the source vertex of the unique top edge,
-    or the unleveled center — and walks downward through the remaining
-    vertices the same way. Isolated vertices and the complement get free
-    bases at the end. Singular values are cut at ``tols.rank``; assembled
-    blocks and the global basis must be orthonormal to within ``tols.rep``,
-    and each block must lie in its projection's range to within ``tols.b2b``.
+    The level structure (``d``, ``classifications``) and P-simplicity decide
+    only whether the construction applies; NotApplicableError says it does
+    not. Every vertex first gets a free basis of its projection's range, in
+    document order. Vertices are then settled in ``sink_first_order``: a
+    sink keeps its free basis, and an emitter's block is S_e·B_rng(e) for its
+    out-edges e, side by side in document order, which must have the free
+    basis's rank. Isolated vertices keep their free basis unchecked, and the
+    complement gets one too. Singular values are cut at ``tols.rank``;
+    assembled blocks and the global basis must be orthonormal to within
+    ``tols.rep``, and each block must lie in its projection's range to
+    within ``tols.b2b``.
     """
     if d is None:
         d = level_decomposition(g)
@@ -494,50 +494,34 @@ def align_bases(
         )
 
     free = {v: _svd_basis(rep.vertex_matrices[v], tols.rank) for v in g.vertices}
-    n_total = rep.dim
-    ranks = {v: free[v].shape[1] for v in g.vertices}
-
-    roles: dict[str, object] = {}
-    for comp, c in classifications:
-        roles.update(vertex_roles(g, d, comp, c))
-
     vertex_vecs: dict[str, np.ndarray] = {}
-    edge_vecs: dict[str, np.ndarray] = {}
     edge_offsets: dict[str, int] = {}
-    processed: set[str] = set()
-
-    def assemble(v: str) -> np.ndarray:
+    for v in sink_first_order(g):
+        if not g.incident(v):
+            vertex_vecs[v] = free[v]  # an isolated vertex's block goes unchecked
+            continue
+        b = free[v]
         out = g.out_edges(v)
-        if not out:
-            return free[v]
-        blocks = []
-        offset = 0
-        for e in out:
-            if e.id not in edge_vecs:
+        if out:
+            images = []
+            offset = 0
+            for e in out:
+                edge_offsets[e.id] = offset
+                images.append(rep.edge_matrices[e.id] @ vertex_vecs[e.rng])
+                offset += images[-1].shape[1]
+            b = np.hstack(images)
+            if offset != free[v].shape[1]:
                 raise AlignmentError(
-                    f"internal sweep-order violation: edge '{e.id}' not yet pushed "
-                    f"when assembling vertex '{v}'"
+                    f"rank mismatch at vertex '{v}': outgoing edge blocks give "
+                    f"{offset} vectors but the vertex projection has rank {free[v].shape[1]}"
                 )
-            edge_offsets[e.id] = offset
-            blocks.append(edge_vecs[e.id])
-            offset += edge_vecs[e.id].shape[1]
-        b = np.hstack(blocks)
-        if b.shape[1] != ranks[v]:
-            raise AlignmentError(
-                f"rank mismatch at vertex '{v}': outgoing edge blocks give "
-                f"{b.shape[1]} vectors but the vertex projection has rank {ranks[v]}"
-            )
-        gram_err = float(np.abs(b.conj().T @ b - np.eye(b.shape[1])).max())
-        if not gram_err <= tols.rep:
-            raise AlignmentError(
-                f"assembled block at vertex '{v}' is not orthonormal "
-                f"(deviation {gram_err:.3e}); the input matrices likely violate "
-                "the graph relations"
-            )
-        return b
-
-    def settle(v: str) -> None:
-        b = assemble(v)
+            gram_err = float(np.abs(b.conj().T @ b - np.eye(offset)).max())
+            if not gram_err <= tols.rep:
+                raise AlignmentError(
+                    f"assembled block at vertex '{v}' is not orthonormal "
+                    f"(deviation {gram_err:.3e}); the input matrices likely violate "
+                    "the graph relations"
+                )
         span_err = float(np.abs(rep.vertex_matrices[v] @ b - b).max())
         if not span_err <= tols.b2b:
             raise AlignmentError(
@@ -545,47 +529,6 @@ def align_bases(
                 f"(deviation {span_err:.3e})"
             )
         vertex_vecs[v] = b
-        processed.add(v)
-        for e in g.in_edges(v):
-            edge_vecs[e.id] = rep.edge_matrices[e.id] @ b
-
-    finals = sorted(
-        (v for v in roles if roles[v].role is Role.FINAL),
-        key=lambda v: (d.level_of(v), g.vertex_position(v)),
-    )
-    for v in finals:
-        settle(v)
-
-    for comp, c in classifications:
-        if c.kind is ClassificationKind.LEVELS_PLUS_CENTER:
-            mu = c.center
-        else:
-            top = max(lv for v in comp if (lv := d.level_of(v)) is not None)
-            candidates = [
-                v
-                for v in comp
-                if roles[v].role is Role.INITIAL and d.level_of(v) == top
-            ]
-            mu = candidates[0]
-        settle(mu)
-        rest = sorted(
-            (
-                v
-                for v in comp
-                if v not in processed and roles[v].role is Role.INITIAL
-            ),
-            key=lambda v: (-d.level_of(v), g.vertex_position(v)),
-        )
-        for v in rest:
-            settle(v)
-
-    for v in decompose(g).isolated:
-        vertex_vecs[v] = free[v]
-        processed.add(v)
-
-    missing = [v for v in g.vertices if v not in processed]
-    if missing:
-        raise AlignmentError(f"internal sweep never reached vertices {missing}")
 
     complement = _svd_basis(_leftover(rep, g), tols.rank)
     if complement.shape[1] != rep.complement_dim:
@@ -596,12 +539,12 @@ def align_bases(
 
     columns = [vertex_vecs[v] for v in g.vertices] + [complement]
     basis = np.hstack(columns)
-    if basis.shape != (n_total, n_total):
+    if basis.shape != (rep.dim, rep.dim):
         raise AlignmentError(
             f"vertex blocks plus complement give {basis.shape[1]} vectors "
-            f"in dimension {n_total}"
+            f"in dimension {rep.dim}"
         )
-    unitary_err = float(np.abs(basis.conj().T @ basis - np.eye(n_total)).max())
+    unitary_err = float(np.abs(basis.conj().T @ basis - np.eye(rep.dim)).max())
     if not unitary_err <= tols.rep:
         raise AlignmentError(
             f"global basis is not unitary (deviation {unitary_err:.3e}); "
@@ -616,7 +559,7 @@ def align_bases(
         cursor += k
     edge_bases: dict[str, tuple[int, ...]] = {}
     for e in g.edges:
-        width = edge_vecs[e.id].shape[1]
+        width = vertex_vecs[e.rng].shape[1]
         start = edge_offsets[e.id]
         edge_bases[e.id] = vertex_bases[e.src][start : start + width]
     return BasisAssignment(

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from .graph import DirectedGraph
+from .graph import DirectedGraph, GraphError, sink_first_order
 from .report import Report, first_witness, shared_indices
 
 
@@ -179,8 +179,9 @@ def vertex_dimensions(g: DirectedGraph, sink_dims: Mapping[str, int]) -> dict[st
     Every non-isolated vertex without outgoing edges must appear in
     sink_dims with a positive integer; emitters get the sum over their
     outgoing edges of the range vertex's dimension, and isolated vertices
-    get 0 (an empty domain set). Directed cycles make the propagation
-    unsolvable and raise.
+    get 0 (an empty domain set). Vertices are settled, and the result is
+    ordered, by ``sink_first_order``; a directed cycle makes the propagation
+    unsolvable and raises.
     """
     sinks = set(g.sinks())
     for v, dim in sink_dims.items():
@@ -194,37 +195,15 @@ def vertex_dimensions(g: DirectedGraph, sink_dims: Mapping[str, int]) -> dict[st
     if missing:
         raise BranchingError(f"missing sink dimension for {sorted(missing)}")
 
-    # Iterative post-order walk, so paths of any length resolve without
-    # recursion. Out-edges are followed in document order, which fixes the
-    # vertex a directed cycle is reported through.
+    try:
+        order = sink_first_order(g)
+    except GraphError as err:
+        raise BranchingError(str(err)) from None
     dims: dict[str, int] = {}
-    in_progress: set[str] = set()
-    for root in g.vertices:
-        if root in dims:
-            continue
-        in_progress.add(root)
-        out = g.out_edges(root)
-        stack = [(root, out, iter(out))]
-        while stack:
-            v, out, pending = stack[-1]
-            for e in pending:
-                w = e.rng
-                if w in dims:
-                    continue
-                w_out = g.out_edges(w)
-                if not w_out:
-                    dims[w] = sink_dims[w]
-                    continue
-                if w in in_progress:
-                    raise BranchingError(f"directed cycle detected through vertex '{w}'")
-                in_progress.add(w)
-                stack.append((w, w_out, iter(w_out)))
-                break
-            else:
-                stack.pop()
-                in_progress.discard(v)
-                # an isolated vertex is in no sink_dims and gets no indices
-                dims[v] = sum([dims[e.rng] for e in out]) if out else sink_dims.get(v, 0)
+    for v in order:
+        out = g.out_edges(v)
+        # an isolated vertex is in no sink_dims and gets no indices
+        dims[v] = sum([dims[e.rng] for e in out]) if out else sink_dims.get(v, 0)
     return dims
 
 

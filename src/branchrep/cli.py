@@ -17,6 +17,7 @@ import argparse
 import dataclasses
 import json
 import math
+import os
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
@@ -69,7 +70,12 @@ class CLIError(ValueError):
 
 def _load_json(path: str) -> object:
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except UnicodeDecodeError as err:
+            raise CLIError(f"{path}: not UTF-8 ({err.reason} at byte {err.start})") from None
+        except RecursionError:
+            raise CLIError(f"{path}: JSON nested too deeply to read") from None
 
 
 def _load_graph(path: str) -> DirectedGraph:
@@ -222,22 +228,35 @@ def cmd_synthesize(args: argparse.Namespace) -> int:
     return 0
 
 
-def _write_matrices(fam, g: DirectedGraph, out_dir: str) -> None:
+def _matrix_files(g: DirectedGraph) -> list[tuple[str, str]]:
+    """(generator id, file name) per edge, then per vertex, for ``--out-dir``.
+
+    An id with a NUL or a '/', or one the file system cannot encode, cannot
+    name a file and is refused.
+    """
+    files = [(e.id, f"edge-{e.id}.txt") for e in g.edges]
+    files += [(v, f"vertex-{v}.txt") for v in g.vertices]
+    for key, name in files:
+        try:
+            raw = os.fsencode(name)
+        except UnicodeError:
+            raw = b"\0"
+        if b"\0" in raw or b"/" in raw:
+            raise CLIError(f"--out-dir: id {key!r} cannot name a file")
+    return files
+
+
+def _write_matrices(fam, files: list[tuple[str, str]], out_dir: str) -> None:
     directory = Path(out_dir)
     directory.mkdir(parents=True, exist_ok=True)
-    for e in g.edges:
-        (directory / f"edge-{e.id}.txt").write_text(
-            coordinate_export(to_matrix(fam, e.id)), encoding="utf-8"
-        )
-    for v in g.vertices:
-        (directory / f"vertex-{v}.txt").write_text(
-            coordinate_export(to_matrix(fam, v)), encoding="utf-8"
-        )
+    for key, name in files:
+        (directory / name).write_text(coordinate_export(to_matrix(fam, key)), encoding="utf-8")
 
 
 def cmd_induce(args: argparse.Namespace) -> int:
     tols = _parse_tols(args.tol)
     g = _load_graph(args.graph)
+    files = _matrix_files(g) if args.out_dir else []
     bs = branching_from_json(_load_json(args.system))
     val = validate(bs, g)
     if not val.passed:
@@ -246,7 +265,7 @@ def cmd_induce(args: argparse.Namespace) -> int:
     fam = induce(bs, g)
     ck = verify_ck(fam, g, tols)
     if args.out_dir:
-        _write_matrices(fam, g, args.out_dir)
+        _write_matrices(fam, files, args.out_dir)
     out = {
         "seed": args.seed,
         "validation": val.to_json(),

@@ -333,6 +333,46 @@ def is_p_simple(g: DirectedGraph) -> bool:
     return is_forest(g.vertices, g.edges)
 
 
+def sink_first_order(g: DirectedGraph) -> list[str]:
+    """Every vertex once, each after every vertex its out-edges reach.
+
+    An iterative depth-first post-order (Tarjan, SIAM J. Comput. 1(2), 1972),
+    so paths of any length need no recursion. Roots and out-edges are taken
+    in document order, which fixes the order and the vertex a directed cycle
+    (a loop included) is reported through: the first one the walk re-enters.
+    """
+    out = g._out
+    order: list[str] = []
+    done: set[str] = set()
+    entered: set[str] = set()
+    for root in g.vertices:
+        if root in done:
+            continue
+        entered.add(root)
+        stack = [(root, iter(out[root]))]
+        while stack:
+            v, pending = stack[-1]
+            for e in pending:
+                w = e.rng
+                if w in done:
+                    continue
+                if not out[w]:  # a sink is settled where it is met
+                    done.add(w)
+                    order.append(w)
+                    continue
+                if w in entered:
+                    raise GraphError(f"directed cycle detected through vertex '{w}'")
+                entered.add(w)
+                stack.append((w, iter(out[w])))
+                break
+            else:
+                stack.pop()
+                entered.discard(v)
+                done.add(v)
+                order.append(v)
+    return order
+
+
 def decompose(g: DirectedGraph) -> ComponentDecomposition:
     """Partition vertices into connected components of r(E1) ∪ s(E1) and the rest.
 

@@ -15,6 +15,7 @@ from branchrep import (
     rep_to_json,
     synthesize,
 )
+from branchrep import cli
 from branchrep.cli import main
 from conftest import EXAMPLE_GRAPH_PATH, GOLDEN, path_graph
 
@@ -336,6 +337,47 @@ def test_induce_writes_matrix_files(capsys, tmp_path):
     assert (out_dir / "vertex-v.txt").read_text(encoding="utf-8") == "2 2 1\n1 1 1\n"
 
 
+def _single_edge_system_files(tmp_path, edge_id="e", sink="v"):
+    doc = {
+        "vertices": ["u", sink],
+        "edges": [{"id": edge_id, "src": "u", "rng": sink}],
+    }
+    g = graph_from_json(doc)
+    gpath = write_json(tmp_path / "g.json", doc)
+    spath = write_json(tmp_path / "bs.json", branching_to_json(synthesize(g, {sink: 1})))
+    return gpath, spath
+
+
+@pytest.mark.parametrize("bad_id", ["a\0b", "a/b", "\ud800"], ids=["nul", "slash", "surrogate"])
+@pytest.mark.parametrize("kind", ["edge", "vertex"])
+def test_induce_out_dir_refuses_ids_that_cannot_name_a_file(
+    capsys, tmp_path, monkeypatch, kind, bad_id
+):
+    def no_work(*args):
+        pytest.fail("the system was validated before the ids were checked")
+
+    monkeypatch.setattr(cli, "validate", no_work)
+    ids = {"edge_id": bad_id} if kind == "edge" else {"sink": bad_id}
+    gpath, spath = _single_edge_system_files(tmp_path, **ids)
+    out_dir = tmp_path / "mats"
+    code, out, err = run(capsys, "induce", spath, "--graph", gpath, "--out-dir", str(out_dir))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: --out-dir: id {bad_id!r} cannot name a file\n"
+    assert not out_dir.exists()
+
+
+def test_induce_out_dir_file_names_are_the_ids(capsys, tmp_path):
+    edge_id, sink = "e .. \\ \u00fc\n-", "..\udcff"
+    gpath, spath = _single_edge_system_files(tmp_path, edge_id, sink)
+    out_dir = tmp_path / "mats"
+    code, _, _ = run(capsys, "induce", spath, "--graph", gpath, "--out-dir", str(out_dir))
+    assert code == 0
+    assert sorted(p.name for p in out_dir.iterdir()) == sorted(
+        [f"edge-{edge_id}.txt", "vertex-u.txt", f"vertex-{sink}.txt"]
+    )
+
+
 # -- verify ----------------------------------------------------------------------
 
 
@@ -585,6 +627,29 @@ def test_module_entry_point_runs():
     )
     assert result.returncode == 0
     assert json.loads(result.stdout)["passed"] is True
+
+
+HOSTILE_FILES = {
+    "invalid-utf8": b'{"vertices": ["\xff"], "edges": []}',
+    "nested-past-recursion-limit": b"[" * 100000,
+}
+
+
+@pytest.mark.parametrize("content", HOSTILE_FILES.values(), ids=HOSTILE_FILES)
+@pytest.mark.parametrize("command", ["analyze", "induce", "verify", "align"])
+def test_undecodable_input_exits_2_with_one_line(tmp_path, command, content):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    argv = [command, str(bad)]
+    if command != "analyze":
+        argv += ["--graph", str(EXAMPLE_GRAPH_PATH)]
+    result = subprocess.run(
+        [sys.executable, "-m", "branchrep", *argv], capture_output=True, text=True
+    )
+    assert result.returncode == 2
+    assert "Traceback" not in result.stderr
+    assert len(result.stderr.splitlines()) == 1
+    assert result.stderr.startswith(f"error: {bad}: ")
 
 
 def test_missing_subcommand_exits_2(capsys):
