@@ -37,10 +37,7 @@ from .graph import (
     DirectedGraph,
     Edge,
     GraphError,
-    Path,
-    adjacent,
     decompose,
-    find_paths,
     graph_from_json,
     is_p_simple,
     parse_graph,

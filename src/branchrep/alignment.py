@@ -7,8 +7,8 @@ bijectively onto a sub-block of the source vertex, and extracts from that a
 discrete branching system together with the change-of-basis unitary. Blocks
 are built sinks first: a sink's block is a basis of its projection's range,
 and any other vertex's block is its out-edges' images of their range
-vertices' blocks, side by side. The paper's level structure decides only
-whether the construction applies.
+vertices' blocks, side by side. P-simplicity alone decides whether the
+construction applies; the paper's level structure only words a refusal.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Optional
 
 import numpy as np
 
@@ -24,13 +24,7 @@ from .branching import DiscreteBranchingSystem, synthesize, validate, vertex_dim
 from .graph import DirectedGraph, is_p_simple, sink_first_order
 from .operators import induce, wpi_matrix
 from .report import FAIL, PASS, CheckItem, Report, Tolerances, first_witness
-from .structure import (
-    Classification,
-    ClassificationKind,
-    LevelDecomposition,
-    component_classifications,
-    level_decomposition,
-)
+from .structure import ClassificationKind, component_classifications, level_decomposition
 
 # the defaults as plain names, for callers that compare against one
 RANK_TOL = Tolerances.rank
@@ -145,6 +139,9 @@ def check_representation(
     trace rounds outside [0, N], or when the vertex bases or the edge images
     would stack wider than N. The bases only steer the screen; ranks in the
     report still come from ``_svd_rank``.
+
+    Items iii and v share one sweep that forms each S_e·S_e* once; their
+    witnesses are still scanned by edge, resp. vertex, in document order.
     """
     if set(rep.edge_matrices) != {e.id for e in g.edges}:
         raise RepresentationError("edge matrices do not match the graph's edges")
@@ -169,17 +166,19 @@ def check_representation(
             if not err <= tols.rep:
                 yield {**where, "error": err}
 
-    def range_deviations():
-        for e in g.edges:
+    # items iii and v from one sweep over the emitters, each range product
+    # S_e·S_e* formed once; the total is summed as sum() would, from 0
+    range_errs: dict[str, float] = {}
+    sum_errs: dict[str, float] = {}
+    for v in g.vertices:
+        out = g.out_edges(v)
+        total = 0
+        for e in out:
             q = s[e.id] @ s[e.id].conj().T
-            yield {"edge": e.id}, p[e.src] @ q - q
-
-    def sum_deviations():
-        for v in g.vertices:
-            out = g.out_edges(v)
-            if out:
-                total = sum(s[e.id] @ s[e.id].conj().T for e in out)
-                yield {"vertex": v}, total - p[v]
+            range_errs[e.id] = float(np.abs(p[v] @ q - q).max())
+            total = total + q
+        if out:
+            sum_errs[v] = float(np.abs(total - p[v]).max())
 
     def complement():
         try:
@@ -202,14 +201,16 @@ def check_representation(
         for f in g.edges
         if e.id != f.id and (e.id, f.id) not in cleared_iv
     )
+    ranges = ({"edge": e.id, "error": range_errs[e.id]} for e in g.edges)
+    sums = ({"vertex": v, "error": err} for v, err in sum_errs.items())
     return Report(
         (
             first_witness("projections", projections()),
             first_witness("i", over_tol(vertex_pairs)),
             first_witness("ii", over_tol(isometries)),
-            first_witness("iii", over_tol(range_deviations())),
+            first_witness("iii", (w for w in ranges if not w["error"] <= tols.rep)),
             first_witness("iv", over_tol(edge_pairs)),
-            first_witness("v", over_tol(sum_deviations())),
+            first_witness("v", (w for w in sums if not w["error"] <= tols.rep)),
             first_witness("complement", complement()),
         )
     )
@@ -458,71 +459,69 @@ def _svd_basis(m: np.ndarray, rank_tol: float) -> np.ndarray:
 def align_bases(
     rep: ConcreteRepresentation,
     g: DirectedGraph,
-    d: Optional[LevelDecomposition] = None,
-    classifications: Optional[Sequence[tuple[tuple[str, ...], Classification]]] = None,
     tols: Tolerances = Tolerances(),
 ) -> BasisAssignment:
     """Choose the adapted global basis, settling vertices sinks first.
 
-    The level structure (``d``, ``classifications``) and P-simplicity decide
-    only whether the construction applies; NotApplicableError says it does
-    not. Every vertex first gets a free basis of its projection's range, in
-    document order. Vertices are then settled in ``sink_first_order``: a
-    sink keeps its free basis, and an emitter's block is S_e·B_rng(e) for its
-    out-edges e, side by side in document order, which must have the free
-    basis's rank. Isolated vertices keep their free basis unchecked, and the
-    complement gets one too. Singular values are cut at ``tols.rank``;
-    assembled blocks and the global basis must be orthonormal to within
-    ``tols.rep``, and each block must lie in its projection's range to
-    within ``tols.b2b``.
+    The construction applies exactly to P-simple graphs; NotApplicableError
+    says it does not. A finite forest always peels to at most one leftover
+    vertex per component, so the level structure is computed only to word
+    a refusal. Every vertex first gets an SVD of its projection, in
+    document order: a sink keeps the free basis of its range, an emitter
+    only the rank. Vertices are then settled in ``sink_first_order``: an
+    emitter's block is S_e·B_rng(e) for its out-edges e, side by side in
+    document order, which must have that rank. Isolated vertices keep their
+    free basis unchecked, and the complement gets one too. Singular values
+    are cut at ``tols.rank``; assembled blocks and the global basis must be
+    orthonormal to within ``tols.rep``, and each block must lie in its
+    projection's range to within ``tols.b2b``.
     """
-    if d is None:
-        d = level_decomposition(g)
-    if classifications is None:
-        classifications = component_classifications(g, d)
-
-    for comp, c in classifications:
-        if c.kind is ClassificationKind.IRREGULAR:
-            raise NotApplicableError(
-                f"component containing '{comp[0]}' has two or more unleveled "
-                "vertices; the alignment construction is not applicable"
-            )
     if not is_p_simple(g):
+        for comp, c in component_classifications(g, level_decomposition(g)):
+            if c.kind is ClassificationKind.IRREGULAR:
+                raise NotApplicableError(
+                    f"component containing '{comp[0]}' has two or more unleveled "
+                    "vertices; the alignment construction is not applicable"
+                )
         raise NotApplicableError(
             "graph has a loop, parallel edge, or undirected cycle; the "
             "alignment construction is not applicable"
         )
 
-    free = {v: _svd_basis(rep.vertex_matrices[v], tols.rank) for v in g.vertices}
+    free = {}  # a sink's or isolated vertex's free basis, an emitter's rank
+    for v in g.vertices:
+        rank, u = _svd_rank(rep.vertex_matrices[v], tols.rank, compute_uv=True)
+        free[v] = rank if g.out_edges(v) else u[:, :rank]
     vertex_vecs: dict[str, np.ndarray] = {}
     edge_offsets: dict[str, int] = {}
     for v in sink_first_order(g):
         if not g.incident(v):
             vertex_vecs[v] = free[v]  # an isolated vertex's block goes unchecked
             continue
-        b = free[v]
         out = g.out_edges(v)
-        if out:
+        if not out:
+            b = free[v]
+        else:
             images = []
             offset = 0
             for e in out:
                 edge_offsets[e.id] = offset
                 images.append(rep.edge_matrices[e.id] @ vertex_vecs[e.rng])
                 offset += images[-1].shape[1]
-            b = np.hstack(images)
-            if offset != free[v].shape[1]:
+            if offset != free[v]:
                 raise AlignmentError(
                     f"rank mismatch at vertex '{v}': outgoing edge blocks give "
-                    f"{offset} vectors but the vertex projection has rank {free[v].shape[1]}"
+                    f"{offset} vectors but the vertex projection has rank {free[v]}"
                 )
-            gram_err = float(np.abs(b.conj().T @ b - np.eye(offset)).max())
+            b = np.hstack(images)
+            gram_err = float(np.abs(b.conj().T @ b - np.eye(offset)).max(initial=0.0))
             if not gram_err <= tols.rep:
                 raise AlignmentError(
                     f"assembled block at vertex '{v}' is not orthonormal "
                     f"(deviation {gram_err:.3e}); the input matrices likely violate "
                     "the graph relations"
                 )
-        span_err = float(np.abs(rep.vertex_matrices[v] @ b - b).max())
+        span_err = float(np.abs(rep.vertex_matrices[v] @ b - b).max(initial=0.0))
         if not span_err <= tols.b2b:
             raise AlignmentError(
                 f"block assembled for vertex '{v}' leaves its projection's range "

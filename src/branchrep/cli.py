@@ -321,10 +321,8 @@ def cmd_align(args: argparse.Namespace) -> int:
         print(f"check failed: relation '{bad.item}': {bad.witness}", file=sys.stderr)
         return 1
 
-    d = level_decomposition(g)
-    classifications = component_classifications(g, d)
     try:
-        ba = align_bases(rep, g, d, classifications, tols)
+        ba = align_bases(rep, g, tols)
         b2b = check_b2b(rep, ba, g, tols, allow_phase=args.phase_slack)
         if not b2b.passed:
             out = {"seed": args.seed, "b2b": b2b.to_json(), "passed": False}

@@ -2,7 +2,7 @@
 
 Graphs are finite, loops and parallel edges are allowed, and every id keeps
 its document position, so all derived orderings (components, level sets,
-path enumeration) are deterministic for a given input file.
+the sink-first order) are deterministic for a given input file.
 """
 
 from __future__ import annotations
@@ -168,26 +168,6 @@ class DirectedGraph:
 
 
 @dataclass(frozen=True)
-class Path:
-    """An undirected edge-distinct walk u_0 .. u_n with n >= 1.
-
-    Consecutive vertices are joined by the corresponding edge regardless of
-    its direction; vertices may repeat, edges may not. A path with equal
-    endpoints is a cycle.
-    """
-
-    vertices: tuple[str, ...]
-    edges: tuple[str, ...]
-
-    @property
-    def is_cycle(self) -> bool:
-        return self.vertices[0] == self.vertices[-1]
-
-    def __len__(self) -> int:
-        return len(self.edges)
-
-
-@dataclass(frozen=True)
 class ComponentDecomposition:
     """Connected components of r(E1) ∪ s(E1) plus the isolated remainder."""
 
@@ -242,56 +222,6 @@ def parse_graph(text: str) -> DirectedGraph:
 
 
 # -- operations ----------------------------------------------------------
-
-
-def adjacent(g: DirectedGraph, a: str, b: str) -> bool:
-    """True iff a != b and some edge has endpoint set {a, b}.
-
-    A loop never makes a vertex adjacent to itself.
-    """
-    g.vertex_position(a)
-    g.vertex_position(b)
-    if a == b:
-        return False
-    return any(e.other_endpoint(a) == b for e in g.incident(a) if not e.is_loop)
-
-
-def find_paths(g: DirectedGraph, u: str, v: str, limit: int) -> list[Path]:
-    """Up to ``limit`` paths between u and v, lexicographic by edge-id sequence.
-
-    Edge ids are ordered by document position. Paths may revisit vertices but
-    never reuse an edge; with u == v the result enumerates cycles through u.
-    """
-    g.vertex_position(u)
-    g.vertex_position(v)
-    if limit < 1:
-        raise GraphError("limit must be at least 1")
-
-    results: list[Path] = []
-    used: set[str] = set()
-    vertex_trail = [u]
-    edge_trail: list[str] = []
-
-    def walk(cur: str) -> None:
-        for e in g.incident(cur):
-            if len(results) >= limit:
-                return
-            if e.id in used:
-                continue
-            nxt = e.other_endpoint(cur)
-            used.add(e.id)
-            vertex_trail.append(nxt)
-            edge_trail.append(e.id)
-            if nxt == v:
-                results.append(Path(tuple(vertex_trail), tuple(edge_trail)))
-            if len(results) < limit:
-                walk(nxt)
-            used.discard(e.id)
-            vertex_trail.pop()
-            edge_trail.pop()
-
-    walk(u)
-    return results
 
 
 class _UnionFind:

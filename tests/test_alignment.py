@@ -18,12 +18,10 @@ from branchrep import (
     align_bases,
     check_b2b,
     check_representation,
-    component_classifications,
     extract_branching_system,
     graph_from_json,
     haar_unitary,
     induce,
-    level_decomposition,
     random_representation,
     rep_from_json,
     rep_to_json,
@@ -176,15 +174,6 @@ def test_complement_indices_belong_to_no_vertex():
     assert complement.isdisjoint(union)
 
 
-def test_align_accepts_precomputed_structure():
-    g = path_graph(4)
-    rep = random_representation(g, {"v4": 1}, seed=9)
-    d = level_decomposition(g)
-    cls = component_classifications(g, d)
-    ba = align_bases(rep, g, d=d, classifications=cls)
-    assert ba.vertex_bases == align_bases(rep, g).vertex_bases
-
-
 def test_align_bases_block_sizes_match_dimensions():
     g = path_graph(4)
     dims = {"v4": 3}
@@ -308,6 +297,20 @@ def test_isolated_vertex_gets_an_empty_block():
     ba, cert = run_pipeline(g, rep)
     assert ba.vertex_bases["z"] == ()
     assert cert.passes()
+
+
+def test_zero_rank_sink_under_an_emitter_is_a_rank_mismatch():
+    # the sink's empty block passes its span check; the emitter above it
+    # then has one vector's rank and no edge images to fill it
+    g = single_edge_graph()
+    rep = ConcreteRepresentation(
+        dim=1,
+        complement_dim=0,
+        edge_matrices={"e": np.zeros((1, 1), dtype=complex)},
+        vertex_matrices={"u": np.eye(1, dtype=complex), "v": np.zeros((1, 1), dtype=complex)},
+    )
+    with pytest.raises(AlignmentError, match="rank mismatch at vertex 'u'"):
+        align_bases(rep, g)
 
 
 def test_align_rejects_wrong_complement_declaration():

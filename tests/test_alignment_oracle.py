@@ -4,8 +4,9 @@
 ``vertex_dimensions`` verbatim. On honest representations the library must
 give the same basis bits and index maps. With corrupted matrices the
 outcome is the same, except which vertex is named when two or more fail a
-block check. ``vertex_dimensions`` must return the same dict, in the same order,
-and name the same vertex on a directed cycle.
+block check, and where the original dies in numpy on an empty block.
+``vertex_dimensions`` must return the same dict, in the same order, and
+name the same vertex on a directed cycle.
 """
 
 import re
@@ -23,10 +24,14 @@ import genutil
 from branchrep import (
     AlignmentError,
     BranchingError,
+    ClassificationKind,
     ConcreteRepresentation,
     GraphError,
     align_bases,
+    component_classifications,
     graph_from_json,
+    is_p_simple,
+    level_decomposition,
     random_representation,
     vertex_dimensions,
 )
@@ -128,8 +133,9 @@ _WALK_ERRORS = (
     re.compile(r"^rank mismatch at vertex '([^']*)'"),
     re.compile(r"^assembled block at vertex '([^']*)' is not orthonormal"),
     re.compile(r"^block assembled for vertex '([^']*)' leaves"),
-    # numpy's error when a block check meets an empty block; a known fault
-    # of both constructions, which names no vertex
+    # numpy's error when the original's block check meets an empty block,
+    # which names no vertex; the library measures an empty block's
+    # deviations as 0 instead
     re.compile(r"^zero-size array to reduction operation maximum()"),
 )
 
@@ -151,12 +157,19 @@ def _failed_vertex(outcome):
 def test_corrupted_input_fails_as_the_original_fails(case, faults, seed):
     """Equal outcomes, except which block check is reported when two or
     more vertices fail one; a single corrupted matrix can do that (a sink
-    whose rank changed fails the rank check of each of its in-neighbours)."""
+    whose rank changed fails the rank check of each of its in-neighbours).
+    Where the original meets an empty block and dies in numpy, the library
+    may go on."""
     g, rep = case
     bad = _corrupt(rep, g, np.random.default_rng(seed), faults)
     mine = _outcome(align_bases, bad, g)
     theirs = _outcome(oracle.align_bases, bad, g)
     if mine == theirs:
+        return
+    if theirs[0] is ValueError and theirs[1].startswith("zero-size array"):
+        # only the original dies on an empty block; the library goes on to
+        # a basis or a check that refuses, never a bare ValueError
+        assert isinstance(mine[0], bytes) or issubclass(mine[0], AlignmentError), mine
         return
     named, other = _failed_vertex(mine), _failed_vertex(theirs)
     assert named is not None and other is not None, (mine, theirs)
@@ -204,6 +217,22 @@ def _networkx(g):
     t.add_nodes_from(g.vertices)
     t.add_edges_from((e.src, e.rng) for e in g.edges)
     return t
+
+
+@settings(max_examples=oracle_examples(300), deadline=None)
+@given(multigraphs())
+def test_p_simple_graphs_are_forests_and_always_level(g):
+    """``align_bases`` refuses exactly the graphs that are not P-simple: a
+    finite forest peels down to at most one leftover vertex per component
+    (C. Jordan, J. reine angew. Math. 70, 1869), so no P-simple graph has an
+    Irregular component."""
+    undirected = nx.MultiGraph()
+    undirected.add_nodes_from(g.vertices)
+    undirected.add_edges_from((e.src, e.rng) for e in g.edges)
+    assert is_p_simple(g) == nx.is_forest(undirected)
+    if is_p_simple(g):
+        classifications = component_classifications(g, level_decomposition(g))
+        assert all(c.kind is not ClassificationKind.IRREGULAR for _, c in classifications)
 
 
 @settings(max_examples=oracle_examples(300), deadline=None)

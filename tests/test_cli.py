@@ -9,15 +9,22 @@ import pytest
 
 from branchrep import (
     Tolerances,
+    align_bases,
     branching_to_json,
     graph_from_json,
     random_representation,
+    rep_from_json,
     rep_to_json,
     synthesize,
 )
-from branchrep import cli
+from branchrep import alignment, cli
 from branchrep.cli import main
-from conftest import EXAMPLE_GRAPH_PATH, GOLDEN, path_graph
+from conftest import EXAMPLE_GRAPH_PATH, FIXTURES, GOLDEN, path_graph
+
+# the README's two-leaf graph, and a representation of it:
+# random_representation(g, {"a": 1, "b": 2}, 0, seed=7)
+TWO_LEAF_GRAPH_PATH = FIXTURES / "two_leaf_graph.json"
+TWO_LEAF_REP_PATH = FIXTURES / "two_leaf_rep.json"
 
 TWO_LEAF_DOC = {
     "vertices": ["r", "a", "b"],
@@ -174,6 +181,13 @@ def test_analyze_exit_2_cases(capsys, tmp_path, argv_tail, fragment):
     code, out, err = run(capsys, "analyze", head, *rest)
     assert code == 2
     assert fragment in err
+
+
+def test_readme_round_trip_runs():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    (block,) = re.findall(r"^```python\n(.*?)^```", readme.read_text(encoding="utf-8"), re.M | re.S)
+    assert "align_bases(rep, g)" in block
+    exec(compile(block, "README.md", "exec"), {})
 
 
 def test_readme_tolerance_table_lists_the_defaults():
@@ -555,6 +569,43 @@ def test_align_not_applicable_exits_2(capsys, tmp_path):
     assert out == ""
     assert "theorem not applicable" in err
     assert "two or more unleveled vertices" in err
+
+
+def test_align_zero_rank_vertices_give_an_empty_system(capsys, tmp_path):
+    gpath = write_json(tmp_path / "g.json", SINGLE_EDGE_DOC)
+    zero = [[0, 0]]
+    rpath = write_json(
+        tmp_path / "rep.json",
+        {"dim": 1, "complementDim": 1, "edges": {"e": zero}, "vertices": {"u": zero, "v": zero}},
+    )
+    code, _, _ = run(capsys, "verify", rpath, "--graph", gpath)
+    assert code == 0
+    code, doc, err = run_json(capsys, "align", rpath, "--graph", gpath)
+    assert (code, err) == (0, "")
+    assert doc["system"] == {
+        "universe": [0], "R": {"e": []}, "D": {"u": [], "v": []}, "f": {"e": {}}
+    }
+    assert doc["maxResidual"] == 0.0
+
+
+def test_align_on_a_p_simple_graph_neither_peels_nor_classifies(capsys, tmp_path, monkeypatch):
+    def refuse(*args):
+        pytest.fail("the align path computed the level structure")
+
+    for module in (alignment, cli):
+        monkeypatch.setattr(module, "level_decomposition", refuse)
+        monkeypatch.setattr(module, "component_classifications", refuse)
+    g = graph_from_json(json.loads(TWO_LEAF_GRAPH_PATH.read_text(encoding="utf-8")))
+    rep = rep_from_json(json.loads(TWO_LEAF_REP_PATH.read_text(encoding="utf-8")))
+    align_bases(rep, g)
+    out_dir = tmp_path / "out"
+    code, _, _ = run(
+        capsys, "align", str(TWO_LEAF_REP_PATH), "--graph", str(TWO_LEAF_GRAPH_PATH),
+        "--out-dir", str(out_dir),
+    )
+    assert code == 0
+    golden = (GOLDEN / "synthesize_two_leaf.json").read_text(encoding="utf-8")
+    assert (out_dir / "system.json").read_text(encoding="utf-8") == golden
 
 
 def test_align_out_dir_writes_artifacts(capsys, tmp_path):

@@ -9,15 +9,14 @@ from branchrep import (
     DirectedGraph,
     Edge,
     GraphError,
-    adjacent,
     decompose,
-    find_paths,
     graph_from_json,
     is_p_simple,
     parse_graph,
     truncate,
 )
 from conftest import EXAMPLE_GRAPH_PATH, path_graph, single_edge_graph
+from graph_oracle import adjacent, find_paths
 
 
 def test_example_fixture_accessors(example_graph):
