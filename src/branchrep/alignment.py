@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Mapping, Optional
 
 import numpy as np
@@ -729,10 +729,17 @@ _REP_FIELDS = frozenset({"dim", "complementDim", "edges", "vertices"})
 
 
 def _matrix_to_pairs(m: np.ndarray) -> list[list[float]]:
-    return [[float(z.real), float(z.imag)] for z in m.reshape(-1)]
+    """Row-major ``[re, im]`` pairs of ``m``'s entries, as Python floats."""
+    return np.ascontiguousarray(m, dtype=complex).view(np.float64).reshape(-1, 2).tolist()
 
 
 def rep_to_json(rep: ConcreteRepresentation) -> dict:
+    """The representation as a JSON-ready document.
+
+    Each matrix is converted as one array: its complex entries are viewed as
+    float pairs and listed once, so ``json.dumps`` of the document gives the
+    same bytes as formatting every entry with ``float(z.real), float(z.imag)``.
+    """
     return {
         "dim": rep.dim,
         "complementDim": rep.complement_dim,
@@ -741,24 +748,55 @@ def rep_to_json(rep: ConcreteRepresentation) -> dict:
     }
 
 
+def _is_number_type(t: type) -> bool:
+    return issubclass(t, (int, float)) and not issubclass(t, bool)
+
+
+def _first_bad_pair(entries: list, where: str) -> RepresentationError:
+    """The error naming the first pair that is not two numbers a float holds."""
+    for i, pair in enumerate(entries):
+        if not (
+            isinstance(pair, list)
+            and len(pair) == 2
+            and all(_is_number_type(type(x)) for x in pair)
+        ):
+            return RepresentationError(f"{where}[{i}] must be an [re, im] pair of numbers")
+        try:
+            float(pair[0]), float(pair[1])
+        except OverflowError:
+            return RepresentationError(f"{where}[{i}] has an entry too large for a float")
+    raise AssertionError(f"{where}: no bad pair found")
+
+
 def _pairs_to_matrix(entries: object, dim: int, where: str) -> np.ndarray:
     if not isinstance(entries, list) or len(entries) != dim * dim:
         raise RepresentationError(
             f"{where} must be a flat row-major list of {dim * dim} [re, im] pairs"
         )
-    flat = np.empty(dim * dim, dtype=complex)
-    for i, pair in enumerate(entries):
-        if (
-            not isinstance(pair, list)
-            or len(pair) != 2
-            or any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in pair)
-        ):
-            raise RepresentationError(f"{where}[{i}] must be an [re, im] pair of numbers")
-        flat[i] = complex(pair[0], pair[1])
-    return flat.reshape(dim, dim)
+    # whole-list passes over the pairs' types, their lengths and their
+    # elements' types decide well-formedness; only a failure is located
+    if (
+        all(issubclass(t, list) for t in set(map(type, entries)))
+        and set(map(len, entries)) == {2}
+        and all(map(_is_number_type, set(map(type, chain.from_iterable(entries)))))
+    ):
+        try:
+            flat = np.fromiter(chain.from_iterable(entries), np.float64, 2 * dim * dim)
+            return flat.view(complex).reshape(dim, dim)
+        except OverflowError:
+            pass  # an integer past the float range, named below
+    raise _first_bad_pair(entries, where)
 
 
 def rep_from_json(doc: object) -> ConcreteRepresentation:
+    """The representation a JSON document describes, or a RepresentationError.
+
+    Each matrix's pairs are checked in whole-list passes over their types,
+    lengths and element types, then converted as one float64 array, giving
+    the bits ``complex(re, im)`` gives per entry. Only when a check fails is
+    the list scanned for the first bad pair, which the error names; an
+    integer too large for a float is named the same way.
+    """
     if not isinstance(doc, dict):
         raise RepresentationError("representation document must be an object")
     unknown = set(doc) - _REP_FIELDS

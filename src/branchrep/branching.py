@@ -320,7 +320,10 @@ def branching_from_json(doc: object) -> DiscreteBranchingSystem:
                 raise BranchingError(f"weights has non-integer key {k!r}") from None
             if isinstance(w, bool) or not isinstance(w, (int, float)):
                 raise BranchingError(f"weights[{k}] must be a number")
-            weights[idx] = float(w)
+            try:
+                weights[idx] = float(w)
+            except OverflowError:
+                raise BranchingError(f"weights[{k}] is too large for a float") from None
 
     return DiscreteBranchingSystem(
         universe=universe,

@@ -228,20 +228,38 @@ def cmd_synthesize(args: argparse.Namespace) -> int:
     return 0
 
 
-def _matrix_files(g: DirectedGraph) -> list[tuple[str, str]]:
+def _name_max(out_dir: str) -> Optional[int]:
+    """The longest file name, in bytes, that ``out_dir``'s file system takes.
+
+    Asked of the nearest ancestor that exists, as ``out_dir`` may not yet;
+    None when the system does not say.
+    """
+    where = os.path.abspath(out_dir)
+    while not os.path.exists(where):
+        where = os.path.dirname(where)
+    try:
+        limit = os.pathconf(where, "PC_NAME_MAX")
+    except (AttributeError, OSError, ValueError):
+        return None
+    return limit if limit > 0 else None
+
+
+def _matrix_files(g: DirectedGraph, out_dir: str) -> list[tuple[str, str]]:
     """(generator id, file name) per edge, then per vertex, for ``--out-dir``.
 
-    An id with a NUL or a '/', or one the file system cannot encode, cannot
+    An id with a NUL or a '/', one the file system cannot encode, or one
+    whose file name is longer than ``out_dir``'s file system allows, cannot
     name a file and is refused.
     """
     files = [(e.id, f"edge-{e.id}.txt") for e in g.edges]
     files += [(v, f"vertex-{v}.txt") for v in g.vertices]
+    name_max = _name_max(out_dir)
     for key, name in files:
         try:
             raw = os.fsencode(name)
         except UnicodeError:
             raw = b"\0"
-        if b"\0" in raw or b"/" in raw:
+        if b"\0" in raw or b"/" in raw or (name_max is not None and len(raw) > name_max):
             raise CLIError(f"--out-dir: id {key!r} cannot name a file")
     return files
 
@@ -256,7 +274,7 @@ def _write_matrices(fam, files: list[tuple[str, str]], out_dir: str) -> None:
 def cmd_induce(args: argparse.Namespace) -> int:
     tols = _parse_tols(args.tol)
     g = _load_graph(args.graph)
-    files = _matrix_files(g) if args.out_dir else []
+    files = _matrix_files(g, args.out_dir) if args.out_dir else []
     bs = branching_from_json(_load_json(args.system))
     val = validate(bs, g)
     if not val.passed:

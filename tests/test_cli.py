@@ -381,6 +381,25 @@ def test_induce_out_dir_refuses_ids_that_cannot_name_a_file(
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("kind", ["edge", "vertex"])
+def test_induce_out_dir_refuses_ids_too_long_for_a_file_name(
+    capsys, tmp_path, monkeypatch, kind
+):
+    def no_work(*args):
+        pytest.fail("the system was validated before the ids were checked")
+
+    monkeypatch.setattr(cli, "validate", no_work)
+    long_id = "x" * 300  # past NAME_MAX (255 bytes) of common file systems
+    ids = {"edge_id": long_id} if kind == "edge" else {"sink": long_id}
+    gpath, spath = _single_edge_system_files(tmp_path, **ids)
+    out_dir = tmp_path / "new" / "mats"
+    code, out, err = run(capsys, "induce", spath, "--graph", gpath, "--out-dir", str(out_dir))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: --out-dir: id {long_id!r} cannot name a file\n"
+    assert not (tmp_path / "new").exists()
+
+
 def test_induce_out_dir_file_names_are_the_ids(capsys, tmp_path):
     edge_id, sink = "e .. \\ \u00fc\n-", "..\udcff"
     gpath, spath = _single_edge_system_files(tmp_path, edge_id, sink)
@@ -701,6 +720,51 @@ def test_undecodable_input_exits_2_with_one_line(tmp_path, command, content):
     assert "Traceback" not in result.stderr
     assert len(result.stderr.splitlines()) == 1
     assert result.stderr.startswith(f"error: {bad}: ")
+
+
+# 401 digits: JSON has no size limit on integers, but a float stops near 1.8e308
+HUGE_INT = 10**400
+
+
+def _run_module(*argv):
+    return subprocess.run(
+        [sys.executable, "-m", "branchrep", *map(str, argv)], capture_output=True, text=True
+    )
+
+
+@pytest.mark.parametrize("command", ["verify", "align"])
+def test_huge_integer_representation_entry_exits_2(tmp_path, command):
+    gpath = write_json(tmp_path / "g.json", SINGLE_EDGE_DOC)
+    doc = rep_to_json(random_representation(graph_from_json(SINGLE_EDGE_DOC), {"v": 1}, seed=3))
+    doc["vertices"]["u"][2] = [HUGE_INT, 0]
+    rpath = write_json(tmp_path / "rep.json", doc)
+    result = _run_module(command, rpath, "--graph", gpath)
+    assert result.returncode == 2 and result.stdout == ""
+    assert result.stderr == "error: vertices['u'][2] has an entry too large for a float\n"
+
+
+@pytest.mark.parametrize("command", ["induce", "verify"])
+def test_huge_integer_weight_exits_2(tmp_path, command):
+    gpath = write_json(tmp_path / "g.json", SINGLE_EDGE_DOC)
+    doc = branching_to_json(synthesize(graph_from_json(SINGLE_EDGE_DOC), {"v": 1}))
+    doc["weights"] = {"0": 1, "1": HUGE_INT}
+    spath = write_json(tmp_path / "bs.json", doc)
+    result = _run_module(command, spath, "--graph", gpath)
+    assert result.returncode == 2 and result.stdout == ""
+    assert result.stderr == "error: weights[1] is too large for a float\n"
+
+
+@pytest.mark.parametrize("command", ["verify", "align"])
+def test_float_literal_past_the_float_range_fails_closed(tmp_path, command):
+    """1e400 parses as inf, which fails the relation checks (exit 1)."""
+    gpath = write_json(tmp_path / "g.json", SINGLE_EDGE_DOC)
+    doc = rep_to_json(random_representation(graph_from_json(SINGLE_EDGE_DOC), {"v": 1}, seed=3))
+    doc["vertices"]["u"][2] = ["HUGE", 0]
+    rpath = tmp_path / "rep.json"
+    rpath.write_text(json.dumps(doc).replace('"HUGE"', "1e400"), encoding="utf-8")
+    result = _run_module(command, rpath, "--graph", gpath)
+    assert result.returncode == 1
+    assert "Traceback" not in result.stderr
 
 
 def test_missing_subcommand_exits_2(capsys):
