@@ -7,8 +7,9 @@ bijectively onto a sub-block of the source vertex, and extracts from that a
 discrete branching system together with the change-of-basis unitary. Blocks
 are built sinks first: a sink's block is a basis of its projection's range,
 and any other vertex's block is its out-edges' images of their range
-vertices' blocks, side by side. P-simplicity alone decides whether the
-construction applies; the paper's level structure only words a refusal.
+vertices' blocks, side by side. Such an order exists exactly when the graph
+has no directed cycle, and that alone decides whether the construction
+applies: parallel edges and undirected cycles break nothing.
 """
 
 from __future__ import annotations
@@ -20,11 +21,10 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from .branching import DiscreteBranchingSystem, synthesize, validate, vertex_dimensions
-from .graph import DirectedGraph, is_p_simple, sink_first_order
+from .branching import DiscreteBranchingSystem, synthesize, validate
+from .graph import DirectedGraph, GraphError, sink_first_order
 from .operators import induce, wpi_matrix
 from .report import FAIL, PASS, CheckItem, Report, Tolerances, first_witness
-from .structure import ClassificationKind, component_classifications, level_decomposition
 
 # the defaults as plain names, for callers that compare against one
 RANK_TOL = Tolerances.rank
@@ -463,12 +463,11 @@ def align_bases(
 ) -> BasisAssignment:
     """Choose the adapted global basis, settling vertices sinks first.
 
-    The construction applies exactly to P-simple graphs; NotApplicableError
-    says it does not. A finite forest always peels to at most one leftover
-    vertex per component, so the level structure is computed only to word
-    a refusal. Every vertex first gets an SVD of its projection, in
-    document order: a sink keeps the free basis of its range, an emitter
-    only the rank. Vertices are then settled in ``sink_first_order``: an
+    The construction applies exactly to graphs with no directed cycle, the
+    graphs ``sink_first_order`` can order; NotApplicableError says a graph
+    has one, before any SVD. Every vertex then gets an SVD of its
+    projection, in document order: a sink keeps the free basis of its
+    range, an emitter only the rank. Vertices are settled in that order: an
     emitter's block is S_e·B_rng(e) for its out-edges e, side by side in
     document order, which must have that rank. Isolated vertices keep their
     free basis unchecked, and the complement gets one too. Singular values
@@ -476,17 +475,10 @@ def align_bases(
     orthonormal to within ``tols.rep``, and each block must lie in its
     projection's range to within ``tols.b2b``.
     """
-    if not is_p_simple(g):
-        for comp, c in component_classifications(g, level_decomposition(g)):
-            if c.kind is ClassificationKind.IRREGULAR:
-                raise NotApplicableError(
-                    f"component containing '{comp[0]}' has two or more unleveled "
-                    "vertices; the alignment construction is not applicable"
-                )
-        raise NotApplicableError(
-            "graph has a loop, parallel edge, or undirected cycle; the "
-            "alignment construction is not applicable"
-        )
+    try:
+        order = sink_first_order(g)
+    except GraphError as err:
+        raise NotApplicableError(f"{err}; the alignment construction is not applicable") from None
 
     free = {}  # a sink's or isolated vertex's free basis, an emitter's rank
     for v in g.vertices:
@@ -494,7 +486,7 @@ def align_bases(
         free[v] = rank if g.out_edges(v) else u[:, :rank]
     vertex_vecs: dict[str, np.ndarray] = {}
     edge_offsets: dict[str, int] = {}
-    for v in sink_first_order(g):
+    for v in order:
         if not g.incident(v):
             vertex_vecs[v] = free[v]  # an isolated vertex's block goes unchecked
             continue

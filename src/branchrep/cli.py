@@ -49,7 +49,7 @@ from .graph import (
     is_forest,
     truncate,
 )
-from .operators import OperatorError, coordinate_export, induce, to_matrix, verify_ck
+from .operators import OperatorError, coordinate_export, induce, verify_ck, wpi_matrix
 from .report import Tolerances
 from .structure import (
     ClassificationKind,
@@ -244,17 +244,17 @@ def _name_max(out_dir: str) -> Optional[int]:
     return limit if limit > 0 else None
 
 
-def _matrix_files(g: DirectedGraph, out_dir: str) -> list[tuple[str, str]]:
-    """(generator id, file name) per edge, then per vertex, for ``--out-dir``.
+def _matrix_files(g: DirectedGraph, out_dir: str) -> list[tuple[str, str, str]]:
+    """(kind, generator id, file name) per edge, then per vertex, for ``--out-dir``.
 
     An id with a NUL or a '/', one the file system cannot encode, or one
     whose file name is longer than ``out_dir``'s file system allows, cannot
     name a file and is refused.
     """
-    files = [(e.id, f"edge-{e.id}.txt") for e in g.edges]
-    files += [(v, f"vertex-{v}.txt") for v in g.vertices]
+    files = [("edge", e.id, f"edge-{e.id}.txt") for e in g.edges]
+    files += [("vertex", v, f"vertex-{v}.txt") for v in g.vertices]
     name_max = _name_max(out_dir)
-    for key, name in files:
+    for _, key, name in files:
         try:
             raw = os.fsencode(name)
         except UnicodeError:
@@ -264,11 +264,14 @@ def _matrix_files(g: DirectedGraph, out_dir: str) -> list[tuple[str, str]]:
     return files
 
 
-def _write_matrices(fam, files: list[tuple[str, str]], out_dir: str) -> None:
+def _write_matrices(fam, files: list[tuple[str, str, str]], out_dir: str) -> None:
+    # each matrix is looked up by its kind, so an edge and a vertex may share an id
+    n = len(fam.universe)
     directory = Path(out_dir)
     directory.mkdir(parents=True, exist_ok=True)
-    for key, name in files:
-        (directory / name).write_text(coordinate_export(to_matrix(fam, key)), encoding="utf-8")
+    for kind, key, name in files:
+        op = fam.edge_ops[key] if kind == "edge" else fam.vertex_projs[key].as_partial_isometry()
+        (directory / name).write_text(coordinate_export(wpi_matrix(op, n)), encoding="utf-8")
 
 
 def cmd_induce(args: argparse.Namespace) -> int:
@@ -276,6 +279,8 @@ def cmd_induce(args: argparse.Namespace) -> int:
     g = _load_graph(args.graph)
     files = _matrix_files(g, args.out_dir) if args.out_dir else []
     bs = branching_from_json(_load_json(args.system))
+    if args.out_dir and bs.universe != tuple(range(len(bs.universe))):
+        raise CLIError("dense export needs a contiguous 0-based universe")
     val = validate(bs, g)
     if not val.passed:
         _emit({"seed": args.seed, "validation": val.to_json(), "passed": False}, args)

@@ -16,6 +16,7 @@ from branchrep import (
     RepresentationError,
     Tolerances,
     align_bases,
+    branching_to_json,
     check_b2b,
     check_representation,
     extract_branching_system,
@@ -190,7 +191,8 @@ def test_align_bases_block_sizes_match_dimensions():
 # -- guards and failure modes ---------------------------------------------------
 
 
-def test_not_applicable_for_two_unleveled_vertices():
+def test_four_cycle_with_two_unleveled_vertices_certifies():
+    """An undirected 4-cycle has no directed cycle, so it aligns like a tree."""
     g = graph_from_json(
         {
             "vertices": ["v1", "v2", "v3", "v4"],
@@ -202,22 +204,60 @@ def test_not_applicable_for_two_unleveled_vertices():
             ],
         }
     )
-    rep = random_representation(g, {"v2": 1, "v4": 1}, seed=2)
-    with pytest.raises(NotApplicableError, match="not applicable"):
-        align_bases(rep, g)
+    dims = {"v2": 1, "v4": 1}
+    rep = random_representation(g, dims, seed=2)
+    _, cert = run_pipeline(g, rep)
+    assert cert.passes()
+    assert branching_to_json(cert.system) == branching_to_json(synthesize(g, dims))
+
+
+LOOP = {"vertices": ["u"], "edges": [{"id": "l", "src": "u", "rng": "u"}]}
+
+
+def _loop_rep(p):
+    """The loop's edge and its vertex both given by the matrix p."""
+    return ConcreteRepresentation(
+        dim=len(p), complement_dim=0, edge_matrices={"l": p}, vertex_matrices={"u": p}
+    )
 
 
 def test_not_applicable_for_loop():
-    g = graph_from_json(
-        {"vertices": ["u"], "edges": [{"id": "l", "src": "u", "rng": "u"}]}
+    g = graph_from_json(LOOP)
+    rep = _loop_rep(np.eye(1, dtype=complex))
+    assert check_representation(rep, g).passed
+    with pytest.raises(NotApplicableError) as exc:
+        align_bases(rep, g)
+    assert str(exc.value) == (
+        "directed cycle detected through vertex 'u'; "
+        "the alignment construction is not applicable"
     )
-    one = np.eye(1, dtype=complex)
+
+
+def test_not_applicable_for_two_cycle():
+    g = graph_from_json(
+        {
+            "vertices": ["a", "b"],
+            "edges": [{"id": "e", "src": "a", "rng": "b"}, {"id": "f", "src": "b", "rng": "a"}],
+        }
+    )
+    # S_e maps b's line onto a's, S_f a's onto b's
     rep = ConcreteRepresentation(
-        dim=1, complement_dim=0, edge_matrices={"l": one}, vertex_matrices={"u": one}
+        dim=2,
+        complement_dim=0,
+        edge_matrices={"e": np.array([[0, 1], [0, 0]]), "f": np.array([[0, 0], [1, 0]])},
+        vertex_matrices={"a": np.diag([1, 0]), "b": np.diag([0, 1])},
     )
     assert check_representation(rep, g).passed
-    with pytest.raises(NotApplicableError, match="loop, parallel edge, or undirected cycle"):
+    with pytest.raises(NotApplicableError, match="^directed cycle detected through vertex 'a'; "):
         align_bases(rep, g)
+
+
+def test_directed_cycle_is_refused_before_any_rank_is_read():
+    # P_u has a singular value of 1e-10, inside the refuse band around
+    # rank_tol; an acyclic graph would get DegenerateRankError for it
+    g = graph_from_json(LOOP)
+    with pytest.raises(NotApplicableError, match="directed cycle"):
+        align_bases(_loop_rep(np.diag([1.0, 1e-10, 0.0]).astype(complex)), g)
 
 
 def test_degenerate_rank_is_reported_not_guessed():

@@ -1,12 +1,15 @@
 """The sink-first constructions against the two-sweep and post-order originals.
 
 ``alignment_oracle`` holds the original ``align_bases`` and
-``vertex_dimensions`` verbatim. On honest representations the library must
-give the same basis bits and index maps. With corrupted matrices the
-outcome is the same, except which vertex is named when two or more fail a
-block check, and where the original dies in numpy on an empty block.
-``vertex_dimensions`` must return the same dict, in the same order, and
-name the same vertex on a directed cycle.
+``vertex_dimensions`` verbatim. Its ``align_bases`` still refuses graphs
+that are not P-simple, so the two are compared on forests; on other
+acyclic graphs the pipeline's own checks and ``synthesize`` referee. On
+honest representations the library must give the same basis bits and
+index maps. With corrupted matrices the outcome is the same, except which
+vertex is named when two or more fail a block check, and where the
+original dies in numpy on an empty block. ``vertex_dimensions`` must return
+the same dict, in the same order, and name the same vertex on a directed
+cycle.
 """
 
 import re
@@ -16,7 +19,7 @@ from pathlib import Path
 import networkx as nx
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import alignment_oracle as oracle
@@ -27,17 +30,26 @@ from branchrep import (
     ClassificationKind,
     ConcreteRepresentation,
     GraphError,
+    Tolerances,
     align_bases,
+    branching_to_json,
+    check_b2b,
+    check_representation,
     component_classifications,
+    extract_branching_system,
     graph_from_json,
     is_p_simple,
     level_decomposition,
     random_representation,
+    synthesize,
+    validate,
+    verify_equivalence,
     vertex_dimensions,
 )
 from branchrep import structure
 from branchrep.graph import sink_first_order
 from conftest import oracle_examples
+from test_alignment import twisted_edge
 
 # -- align_bases -----------------------------------------------------------------
 
@@ -193,6 +205,65 @@ def test_align_bases_does_not_compute_vertex_roles(monkeypatch):
     assert _outcome(align_bases, rep, g) == expected
 
 
+# -- acyclic graphs beyond P-simple ----------------------------------------------
+
+
+@st.composite
+def acyclic_multigraph_cases(draw):
+    """A graph whose edges all run forward in a hidden order of 2-7 vertices,
+    so it has no directed cycle but may have parallel edges and undirected
+    cycles, plus isolated vertices, in shuffled document order; sink dims
+    1-3, a complement of 0-2, and a universe of at most 64 indices (parallel
+    edges along a path multiply it); randomised or axis-aligned."""
+    n = draw(st.integers(2, 7))
+    names = [f"v{i}" for i in range(n)]
+    forward = st.integers(0, n - 2).flatmap(
+        lambda a: st.tuples(st.just(a), st.integers(a + 1, n - 1))
+    )
+    pairs = draw(st.lists(forward, min_size=1, max_size=2 * n))
+    if draw(st.booleans()):
+        pairs.append(draw(st.sampled_from(pairs)))
+    edges = [{"id": f"e{k}", "src": names[a], "rng": names[b]} for k, (a, b) in enumerate(pairs)]
+    names += [f"iso{i}" for i in range(draw(st.integers(0, 2)))]
+    g = graph_from_json(
+        {"vertices": draw(st.permutations(names)), "edges": draw(st.permutations(edges))}
+    )
+    sink_dims = {v: draw(st.integers(1, 3)) for v in g.sinks()}
+    comp = draw(st.integers(0, 2))
+    assume(sum(vertex_dimensions(g, sink_dims).values()) + comp <= 64)
+    seed = draw(st.integers(0, 2**32 - 1))
+    rep = random_representation(g, sink_dims, comp, seed, draw(st.booleans()))
+    return g, sink_dims, comp, rep
+
+
+@settings(max_examples=oracle_examples(100), deadline=None)
+@given(acyclic_multigraph_cases(), st.integers(0, 2**16))
+def test_every_acyclic_graph_certifies_and_still_catches_a_twist(case, pick):
+    """No directed cycle is all the construction needs: an honest
+    representation of any acyclic multigraph certifies, and extracts the
+    synthesized system. A rotation inside a block of rank two or more
+    still fails the block-to-block check."""
+    g, sink_dims, comp, rep = case
+    tols = Tolerances()
+    assert check_representation(rep, g, tols).passed
+    ba = align_bases(rep, g, tols)
+    assert check_b2b(rep, ba, g, tols).passed
+    cert = extract_branching_system(rep, ba, g, tols)
+    assert validate(cert.system, g).passed
+    cert = verify_equivalence(rep, cert, g, tols)
+    assert cert.max_residual <= tols.residual
+    assert branching_to_json(cert.system) == branching_to_json(
+        synthesize(g, sink_dims, slack=comp)
+    )
+
+    wide = [e.id for e in g.edges if len(ba.vertex_bases[e.rng]) >= 2]
+    if wide:
+        mutated = twisted_edge(rep, ba, g, wide[pick % len(wide)])
+        assert not check_b2b(mutated, ba, g, tols).passed
+        with pytest.raises(AlignmentError, match="block-to-block condition fails"):
+            extract_branching_system(mutated, ba, g, tols)
+
+
 # -- the sink-first order and vertex_dimensions ------------------------------------
 
 
@@ -222,10 +293,11 @@ def _networkx(g):
 @settings(max_examples=oracle_examples(300), deadline=None)
 @given(multigraphs())
 def test_p_simple_graphs_are_forests_and_always_level(g):
-    """``align_bases`` refuses exactly the graphs that are not P-simple: a
+    """A structure fact for ``analyze``: a P-simple graph is a forest, and a
     finite forest peels down to at most one leftover vertex per component
     (C. Jordan, J. reine angew. Math. 70, 1869), so no P-simple graph has an
-    Irregular component."""
+    Irregular component. ``align_bases`` does not ask for either; it needs
+    only that the graph has no directed cycle."""
     undirected = nx.MultiGraph()
     undirected.add_nodes_from(g.vertices)
     undirected.add_edges_from((e.src, e.rng) for e in g.edges)

@@ -17,7 +17,7 @@ from branchrep import (
     rep_to_json,
     synthesize,
 )
-from branchrep import alignment, cli
+from branchrep import cli, structure
 from branchrep.cli import main
 from conftest import EXAMPLE_GRAPH_PATH, FIXTURES, GOLDEN, path_graph
 
@@ -56,6 +56,31 @@ IRREGULAR_DOC = {
         {"id": "e3", "src": "v3", "rng": "v4"},
         {"id": "e4", "src": "v1", "rng": "v4"},
     ],
+}
+
+# the undirected 4-cycle, committed as a fixture with a representation of it:
+# random_representation(g, {"v2": 1, "v4": 1}, seed=9)
+DIAMOND_GRAPH_PATH = FIXTURES / "diamond_graph.json"
+DIAMOND_REP_PATH = FIXTURES / "diamond_rep.json"
+
+PARALLEL_DOC = {
+    "vertices": ["a", "b"],
+    "edges": [{"id": "p", "src": "a", "rng": "b"}, {"id": "q", "src": "a", "rng": "b"}],
+}
+
+LOOP_DOC = {"vertices": ["u"], "edges": [{"id": "l", "src": "u", "rng": "u"}]}
+LOOP_REP = {"dim": 1, "complementDim": 0, "edges": {"l": [[1, 0]]}, "vertices": {"u": [[1, 0]]}}
+
+TWO_CYCLE_DOC = {
+    "vertices": ["a", "b"],
+    "edges": [{"id": "e", "src": "a", "rng": "b"}, {"id": "f", "src": "b", "rng": "a"}],
+}
+# S_e maps b's line onto a's, S_f a's onto b's
+TWO_CYCLE_REP = {
+    "dim": 2,
+    "complementDim": 0,
+    "edges": {"e": [[0, 0], [1, 0], [0, 0], [0, 0]], "f": [[0, 0], [0, 0], [1, 0], [0, 0]]},
+    "vertices": {"a": [[1, 0], [0, 0], [0, 0], [0, 0]], "b": [[0, 0], [0, 0], [0, 0], [1, 0]]},
 }
 
 
@@ -411,6 +436,38 @@ def test_induce_out_dir_file_names_are_the_ids(capsys, tmp_path):
     )
 
 
+def test_induce_out_dir_writes_an_edge_and_a_vertex_that_share_an_id(capsys, tmp_path):
+    gpath, spath = _single_edge_system_files(tmp_path, edge_id="v")
+    out_dir = tmp_path / "mats"
+    code, doc, err = run_json(
+        capsys, "induce", spath, "--graph", gpath, "--out-dir", str(out_dir)
+    )
+    assert (code, err) == (0, "") and doc["passed"] is True
+    names = sorted(p.name for p in out_dir.iterdir())
+    assert names == ["edge-v.txt", "vertex-u.txt", "vertex-v.txt"]
+    assert (out_dir / "edge-v.txt").read_text(encoding="utf-8") == "2 2 1\n0 1 1\n"
+    assert (out_dir / "vertex-v.txt").read_text(encoding="utf-8") == "2 2 1\n1 1 1\n"
+
+
+def test_induce_out_dir_refuses_a_non_contiguous_universe_before_any_work(
+    capsys, tmp_path, monkeypatch
+):
+    def no_work(*args):
+        pytest.fail("the system was validated before its universe was checked")
+
+    monkeypatch.setattr(cli, "validate", no_work)
+    gpath = write_json(tmp_path / "g.json", SINGLE_EDGE_DOC)
+    spath = write_json(
+        tmp_path / "bs.json",
+        {"universe": [5, 7], "R": {"e": [5]}, "D": {"u": [5], "v": [7]}, "f": {"e": {"7": 5}}},
+    )
+    out_dir = tmp_path / "mats"
+    code, out, err = run(capsys, "induce", spath, "--graph", gpath, "--out-dir", str(out_dir))
+    assert (code, out) == (2, "")
+    assert err == "error: dense export needs a contiguous 0-based universe\n"
+    assert not out_dir.exists()
+
+
 # -- verify ----------------------------------------------------------------------
 
 
@@ -579,15 +636,50 @@ def test_align_rejects_broken_representation(capsys, tmp_path):
 
 
 def test_align_not_applicable_exits_2(capsys, tmp_path):
-    gpath = write_json(tmp_path / "g.json", IRREGULAR_DOC)
-    g = graph_from_json(IRREGULAR_DOC)
-    rep = random_representation(g, {"v2": 1, "v4": 1}, seed=9)
-    rpath = write_json(tmp_path / "rep.json", rep_to_json(rep))
-    code, out, err = run(capsys, "align", rpath, "--graph", gpath)
-    assert code == 2
-    assert out == ""
-    assert "theorem not applicable" in err
-    assert "two or more unleveled vertices" in err
+    """Only a directed cycle rules the construction out: the undirected
+    4-cycle certifies, while a loop and a 2-cycle exit 2 with one line."""
+    assert json.loads(DIAMOND_GRAPH_PATH.read_text(encoding="utf-8")) == IRREGULAR_DOC
+    code, doc, err = run_json(
+        capsys, "align", str(DIAMOND_REP_PATH), "--graph", str(DIAMOND_GRAPH_PATH)
+    )
+    assert (code, err) == (0, "")
+    assert doc["passed"] is True
+    for graph_doc, rep_doc, vertex in (
+        (LOOP_DOC, LOOP_REP, "u"),
+        (TWO_CYCLE_DOC, TWO_CYCLE_REP, "a"),
+    ):
+        gpath = write_json(tmp_path / "g.json", graph_doc)
+        rpath = write_json(tmp_path / "rep.json", rep_doc)
+        assert run(capsys, "verify", rpath, "--graph", gpath)[0] == 0
+        code, out, err = run(capsys, "align", rpath, "--graph", gpath)
+        assert (code, out) == (2, "")
+        assert err == (
+            f"theorem not applicable: directed cycle detected through vertex '{vertex}'; "
+            "the alignment construction is not applicable\n"
+        )
+
+
+@pytest.mark.parametrize(
+    "graph_doc, dims, comp",
+    [(None, {"v2": 1, "v4": 1}, 0), (PARALLEL_DOC, {"b": 2}, 1)],
+    ids=["diamond", "parallel-edges"],
+)
+def test_align_on_an_acyclic_multigraph_extracts_the_synthesized_system(
+    capsys, tmp_path, graph_doc, dims, comp
+):
+    if graph_doc is None:
+        gpath, rpath = str(DIAMOND_GRAPH_PATH), str(DIAMOND_REP_PATH)
+    else:
+        gpath = write_json(tmp_path / "g.json", graph_doc)
+        rep = random_representation(graph_from_json(graph_doc), dims, comp, seed=4)
+        rpath = write_json(tmp_path / "rep.json", rep_to_json(rep))
+    out_dir = tmp_path / "out"
+    code, _, err = run(capsys, "align", rpath, "--graph", gpath, "--out-dir", str(out_dir))
+    assert (code, err) == (0, "")
+    dim_args = [a for v, k in dims.items() for a in ("--dim", f"{v}={k}")]
+    code, synthesized, _ = run(capsys, "synthesize", gpath, *dim_args, "--slack", str(comp))
+    assert code == 0
+    assert (out_dir / "system.json").read_text(encoding="utf-8") == synthesized
 
 
 def test_align_zero_rank_vertices_give_an_empty_system(capsys, tmp_path):
@@ -611,7 +703,8 @@ def test_align_on_a_p_simple_graph_neither_peels_nor_classifies(capsys, tmp_path
     def refuse(*args):
         pytest.fail("the align path computed the level structure")
 
-    for module in (alignment, cli):
+    # alignment imports nothing from structure; cli imports both by name
+    for module in (structure, cli):
         monkeypatch.setattr(module, "level_decomposition", refuse)
         monkeypatch.setattr(module, "component_classifications", refuse)
     g = graph_from_json(json.loads(TWO_LEAF_GRAPH_PATH.read_text(encoding="utf-8")))
