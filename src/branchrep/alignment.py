@@ -23,7 +23,7 @@ import numpy as np
 
 from .branching import DiscreteBranchingSystem, synthesize, validate
 from .graph import DirectedGraph, GraphError, sink_first_order
-from .operators import induce, wpi_matrix
+from .operators import WeightedPartialIsometry, induce, wpi_matrix
 from .report import FAIL, PASS, CheckItem, Report, Tolerances, first_witness
 
 # the defaults as plain names, for callers that compare against one
@@ -456,6 +456,19 @@ def _svd_basis(m: np.ndarray, rank_tol: float) -> np.ndarray:
 # -- the sink-first basis construction ---------------------------------------
 
 
+def _construction_order(g: DirectedGraph) -> list[str]:
+    """The sink-first order ``align_bases`` settles vertices in.
+
+    NotApplicableError when the graph has a directed cycle, so the
+    construction does not apply; it costs O(V + E), so callers can refuse
+    such a graph before any dense work.
+    """
+    try:
+        return sink_first_order(g)
+    except GraphError as err:
+        raise NotApplicableError(f"{err}; the alignment construction is not applicable") from None
+
+
 def align_bases(
     rep: ConcreteRepresentation,
     g: DirectedGraph,
@@ -466,24 +479,31 @@ def align_bases(
     The construction applies exactly to graphs with no directed cycle, the
     graphs ``sink_first_order`` can order; NotApplicableError says a graph
     has one, before any SVD. Every vertex then gets an SVD of its
-    projection, in document order: a sink keeps the free basis of its
-    range, an emitter only the rank. Vertices are settled in that order: an
-    emitter's block is S_e·B_rng(e) for its out-edges e, side by side in
-    document order, which must have that rank. Isolated vertices keep their
-    free basis unchecked, and the complement gets one too. Singular values
-    are cut at ``tols.rank``; assembled blocks and the global basis must be
+    projection, in document order: a sink or an isolated vertex keeps the
+    free basis of its range, from a full SVD. An emitter keeps only the
+    rank, so its SVD is values-only; when that refuses the rank, the full
+    SVD is taken and decides, so a refusal quotes the singular values a full
+    SVD gives. Vertices are settled in that order: an emitter's block is
+    S_e·B_rng(e) for its out-edges e, side by side in document order, which
+    must have that rank. Isolated vertices keep their free basis unchecked,
+    and the complement gets one too, from a full SVD. Singular values are
+    cut at ``tols.rank``; assembled blocks and the global basis must be
     orthonormal to within ``tols.rep``, and each block must lie in its
     projection's range to within ``tols.b2b``.
     """
-    try:
-        order = sink_first_order(g)
-    except GraphError as err:
-        raise NotApplicableError(f"{err}; the alignment construction is not applicable") from None
+    order = _construction_order(g)
 
     free = {}  # a sink's or isolated vertex's free basis, an emitter's rank
     for v in g.vertices:
-        rank, u = _svd_rank(rep.vertex_matrices[v], tols.rank, compute_uv=True)
-        free[v] = rank if g.out_edges(v) else u[:, :rank]
+        m = rep.vertex_matrices[v]
+        if g.out_edges(v):
+            try:
+                free[v], _ = _svd_rank(m, tols.rank, compute_uv=False)
+            except DegenerateRankError:
+                free[v], _ = _svd_rank(m, tols.rank, compute_uv=True)
+        else:
+            rank, u = _svd_rank(m, tols.rank, compute_uv=True)
+            free[v] = u[:, :rank]
     vertex_vecs: dict[str, np.ndarray] = {}
     edge_offsets: dict[str, int] = {}
     for v in order:
@@ -672,6 +692,22 @@ def extract_branching_system(
     )
 
 
+def _conjugate(t: WeightedPartialIsometry, u: np.ndarray, u_star: np.ndarray) -> np.ndarray:
+    """U*·T·U for T sending x to j with amplitude a, as one gathered product.
+
+    T has one nonzero per mapped x, so the product is (U*[:, js]·diag(a))·U[xs, :]:
+    an N×k by k×N product instead of two N×N×N ones.
+    """
+    m = t.mapping
+    indices = (*m, *m.values())
+    if indices and not (0 <= min(indices) and max(indices) < len(u)):
+        wpi_matrix(t, len(u))  # raises, naming the first index pair outside the matrix
+    xs = np.fromiter(m, np.intp, len(m))
+    js = np.fromiter(m.values(), np.intp, len(m))
+    amps = np.fromiter(map(t.amplitude.__getitem__, m), float, len(m))
+    return (u_star[:, js] * amps) @ u[xs, :]
+
+
 def verify_equivalence(
     rep: ConcreteRepresentation,
     cert: EquivalenceCertificate,
@@ -680,10 +716,13 @@ def verify_equivalence(
 ) -> EquivalenceCertificate:
     """Measure how exactly the certificate reproduces the representation.
 
-    For every generator the canonical matrix of the extracted system is
+    For every generator the canonical operator of the extracted system is
     conjugated back through the unitary and compared against the input in
     Frobenius norm; the certificate comes back with those residuals filled.
-    The unitary must be unitary to within ``tols.rep``.
+    The canonical operator is a weighted partial permutation with k nonzeros,
+    so each conjugate is one O(N²·k) gathered product (see ``_conjugate``)
+    rather than two dense N×N×N ones. The unitary must be unitary to within
+    ``tols.rep``.
     """
     n = rep.dim
     u = cert.unitary
@@ -700,16 +739,12 @@ def verify_equivalence(
     u_star = u.conj().T
     edge_residuals = {}
     for e in g.edges:
-        target = wpi_matrix(fam.edge_ops[e.id], n)
-        edge_residuals[e.id] = float(
-            np.linalg.norm(u_star @ target @ u - rep.edge_matrices[e.id])
-        )
+        conjugate = _conjugate(fam.edge_ops[e.id], u, u_star)
+        edge_residuals[e.id] = float(np.linalg.norm(conjugate - rep.edge_matrices[e.id]))
     vertex_residuals = {}
     for v in g.vertices:
-        target = wpi_matrix(fam.vertex_projs[v].as_partial_isometry(), n)
-        vertex_residuals[v] = float(
-            np.linalg.norm(u_star @ target @ u - rep.vertex_matrices[v])
-        )
+        conjugate = _conjugate(fam.vertex_projs[v].as_partial_isometry(), u, u_star)
+        vertex_residuals[v] = float(np.linalg.norm(conjugate - rep.vertex_matrices[v]))
     return dataclasses.replace(
         cert, edge_residuals=edge_residuals, vertex_residuals=vertex_residuals
     )

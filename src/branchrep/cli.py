@@ -26,6 +26,7 @@ from .alignment import (
     AlignmentError,
     NotApplicableError,
     RepresentationError,
+    _construction_order,
     align_bases,
     check_b2b,
     check_representation,
@@ -49,7 +50,7 @@ from .graph import (
     is_forest,
     truncate,
 )
-from .operators import OperatorError, coordinate_export, induce, verify_ck, wpi_matrix
+from .operators import OperatorError, coordinate_export, induce, to_matrix, verify_ck
 from .report import Tolerances
 from .structure import (
     ClassificationKind,
@@ -266,12 +267,11 @@ def _matrix_files(g: DirectedGraph, out_dir: str) -> list[tuple[str, str, str]]:
 
 def _write_matrices(fam, files: list[tuple[str, str, str]], out_dir: str) -> None:
     # each matrix is looked up by its kind, so an edge and a vertex may share an id
-    n = len(fam.universe)
     directory = Path(out_dir)
     directory.mkdir(parents=True, exist_ok=True)
     for kind, key, name in files:
-        op = fam.edge_ops[key] if kind == "edge" else fam.vertex_projs[key].as_partial_isometry()
-        (directory / name).write_text(coordinate_export(wpi_matrix(op, n)), encoding="utf-8")
+        matrix = to_matrix(fam, key, kind=kind)
+        (directory / name).write_text(coordinate_export(matrix), encoding="utf-8")
 
 
 def cmd_induce(args: argparse.Namespace) -> int:
@@ -331,6 +331,9 @@ def cmd_align(args: argparse.Namespace) -> int:
     tols = _parse_tols(args.tol)
     g = _load_graph(args.graph)
     rep = rep_from_json(_load_json(args.rep))
+    # a directed cycle rules the construction out whatever the matrices,
+    # so it is refused before the relation check
+    _construction_order(g)
 
     rep_report = check_representation(rep, g, tols)
     if not rep_report.passed:
@@ -355,8 +358,6 @@ def cmd_align(args: argparse.Namespace) -> int:
             return 1
         cert = extract_branching_system(rep, ba, g, tols)
         cert = verify_equivalence(rep, cert, g, tols)
-    except NotApplicableError:
-        raise
     except AlignmentError as err:
         _emit({"seed": args.seed, "error": str(err), "passed": False}, args)
         print(f"check failed: {err}", file=sys.stderr)

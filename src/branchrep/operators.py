@@ -234,23 +234,36 @@ def wpi_matrix(t: WeightedPartialIsometry, size: int) -> np.ndarray:
     return m
 
 
-def to_matrix(fam: GeneratorFamily, generator_id: str, max_size: Optional[int] = None) -> np.ndarray:
-    """Dense matrix of one generator, edges taking priority over vertices.
+def to_matrix(
+    fam: GeneratorFamily,
+    generator_id: str,
+    max_size: Optional[int] = None,
+    *,
+    kind: Optional[str] = None,
+) -> np.ndarray:
+    """Dense matrix of one generator.
 
-    The universe must be 0-based contiguous for a dense layout to make sense.
+    ``kind`` ("edge" or "vertex") says which generator the id names; it may
+    be left out unless an edge and a vertex share the id. The universe must
+    be 0-based contiguous for a dense layout to make sense.
     """
-    if generator_id in fam.edge_ops and generator_id in fam.vertex_projs:
-        raise OperatorError(f"'{generator_id}' names both an edge and a vertex; rename one")
+    if kind not in (None, "edge", "vertex"):
+        raise OperatorError(f"kind must be 'edge' or 'vertex', got {kind!r}")
+    if kind is None and generator_id in fam.edge_ops and generator_id in fam.vertex_projs:
+        raise OperatorError(
+            f"'{generator_id}' names both an edge and a vertex; "
+            "pass kind='edge' or kind='vertex'"
+        )
     if fam.universe != tuple(range(len(fam.universe))):
         raise OperatorError("dense export needs a contiguous 0-based universe")
     size = len(fam.universe)
     if max_size is not None and size > max_size:
         raise OperatorError(f"universe size {size} exceeds max_size {max_size}")
-    if generator_id in fam.edge_ops:
+    if kind != "vertex" and generator_id in fam.edge_ops:
         return wpi_matrix(fam.edge_ops[generator_id], size)
-    if generator_id in fam.vertex_projs:
+    if kind != "edge" and generator_id in fam.vertex_projs:
         return wpi_matrix(fam.vertex_projs[generator_id].as_partial_isometry(), size)
-    raise OperatorError(f"unknown generator '{generator_id}'")
+    raise OperatorError(f"unknown {kind or 'generator'} '{generator_id}'")
 
 
 def coordinate_export(matrix: np.ndarray) -> str:

@@ -12,6 +12,7 @@ the same dict, in the same order, and name the same vertex on a directed
 cycle.
 """
 
+import dataclasses
 import re
 import sys
 from pathlib import Path
@@ -29,6 +30,7 @@ from branchrep import (
     BranchingError,
     ClassificationKind,
     ConcreteRepresentation,
+    DegenerateRankError,
     GraphError,
     Tolerances,
     align_bases,
@@ -46,7 +48,7 @@ from branchrep import (
     verify_equivalence,
     vertex_dimensions,
 )
-from branchrep import structure
+from branchrep import alignment, structure
 from branchrep.graph import sink_first_order
 from conftest import oracle_examples
 from test_alignment import twisted_edge
@@ -203,6 +205,58 @@ def test_align_bases_does_not_compute_vertex_roles(monkeypatch):
 
     monkeypatch.setattr(structure, "vertex_roles", no_roles)
     assert _outcome(align_bases, rep, g) == expected
+
+
+def _svd_calls(monkeypatch, rep):
+    """Record each SVD ``alignment`` asks numpy for: whose matrix (a vertex,
+    or 'complement' for any other) and whether vectors were requested."""
+    owner = {id(m): v for v, m in rep.vertex_matrices.items()}
+    calls = []
+    svd = np.linalg.svd
+
+    def spy(m, *args, **kwargs):
+        calls.append((owner.get(id(m), "complement"), kwargs.get("compute_uv", True)))
+        return svd(m, *args, **kwargs)
+
+    monkeypatch.setattr(alignment.np.linalg, "svd", spy)
+    return calls
+
+
+def test_only_sinks_isolated_vertices_and_the_complement_get_singular_vectors(monkeypatch):
+    rng = np.random.default_rng(4)
+    doc = genutil.tree_doc(rng, 9)
+    doc["vertices"] += ["iso0", "iso1"]
+    g = graph_from_json(doc)
+    rep = random_representation(g, genutil.random_sink_dims(rng, g, 3), 1, 6)
+    calls = _svd_calls(monkeypatch, rep)
+    align_bases(rep, g)
+    emitters = [v for v in g.vertices if g.out_edges(v)]
+    assert len(emitters) >= 3 and set(g.sinks()) - {"iso0", "iso1"}
+    assert sorted(v for v, uv in calls if uv) == sorted(
+        [v for v in g.vertices if not g.out_edges(v)] + ["complement"]
+    )
+    assert sorted(v for v, uv in calls if not uv) == sorted(emitters)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_a_degenerate_emitter_is_refused_in_the_full_svds_digits(monkeypatch, seed):
+    """An emitter's values-only SVD can put other digits on a singular value
+    in the refuse band; the full SVD is taken again and words the refusal."""
+    rng = np.random.default_rng(seed)
+    g = graph_from_json(genutil.tree_doc(rng, 6))
+    rep = random_representation(g, genutil.random_sink_dims(rng, g, 3), 2, seed)
+    v = next(v for v in g.vertices if g.out_edges(v))
+    # a unit vector of the complement, added to v's projection at a weight
+    # inside (tols.rank·1e-2, tols.rank·1e2)
+    w = np.linalg.svd(alignment._leftover(rep, g))[0][:, 0]
+    weight = Tolerances().rank * float(rng.uniform(0.1, 90))
+    vertices = {**rep.vertex_matrices, v: rep.vertex_matrices[v] + weight * np.outer(w, w.conj())}
+    bad = dataclasses.replace(rep, vertex_matrices=vertices)
+    expected = _outcome(oracle.align_bases, bad, g)
+    assert expected[0] is DegenerateRankError
+    calls = _svd_calls(monkeypatch, bad)
+    assert _outcome(align_bases, bad, g) == expected
+    assert calls[-2:] == [(v, False), (v, True)]
 
 
 # -- acyclic graphs beyond P-simple ----------------------------------------------

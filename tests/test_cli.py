@@ -71,6 +71,11 @@ PARALLEL_DOC = {
 LOOP_DOC = {"vertices": ["u"], "edges": [{"id": "l", "src": "u", "rng": "u"}]}
 LOOP_REP = {"dim": 1, "complementDim": 0, "edges": {"l": [[1, 0]]}, "vertices": {"u": [[1, 0]]}}
 
+# LOOP_DOC again, committed with a representation on C^2 whose edge matrix
+# has rank 1 against a rank-2 projection, so it also fails relation ii
+LOOP_GRAPH_PATH = FIXTURES / "loop_graph.json"
+LOOP_REP_PATH = FIXTURES / "loop_rep.json"
+
 TWO_CYCLE_DOC = {
     "vertices": ["a", "b"],
     "edges": [{"id": "e", "src": "a", "rng": "b"}, {"id": "f", "src": "b", "rng": "a"}],
@@ -657,6 +662,28 @@ def test_align_not_applicable_exits_2(capsys, tmp_path):
             f"theorem not applicable: directed cycle detected through vertex '{vertex}'; "
             "the alignment construction is not applicable\n"
         )
+
+
+def test_align_refuses_a_directed_cycle_before_the_relation_check(capsys, monkeypatch):
+    """A directed cycle rules the construction out whatever the matrices, so
+    a cyclic graph exits 2 even when its matrices fail a relation, and no
+    relation check runs first."""
+    assert json.loads(LOOP_GRAPH_PATH.read_text(encoding="utf-8")) == LOOP_DOC
+    gpath, rpath = str(LOOP_GRAPH_PATH), str(LOOP_REP_PATH)
+    code, out, _ = run_json(capsys, "verify", rpath, "--graph", gpath)
+    assert code == 1
+    assert {item["item"]: item["status"] for item in out["checks"]}["ii"] == "fail"
+
+    def no_check(*args):
+        pytest.fail("align ran the relation check on a cyclic graph")
+
+    monkeypatch.setattr(cli, "check_representation", no_check)
+    code, out, err = run(capsys, "align", rpath, "--graph", gpath)
+    assert (code, out) == (2, "")
+    assert err == (
+        "theorem not applicable: directed cycle detected through vertex 'u'; "
+        "the alignment construction is not applicable\n"
+    )
 
 
 @pytest.mark.parametrize(

@@ -121,6 +121,26 @@ def test_to_matrix_errors():
         to_matrix(gapped, "anything")
 
 
+def test_to_matrix_kind_reads_an_edge_and_a_vertex_that_share_an_id():
+    fam = GeneratorFamily(
+        universe=(0, 1),
+        edge_ops={"x": exact_wpi({0: 1})},
+        vertex_projs={"x": DiagonalProjection(frozenset({1})), "w": DiagonalProjection(frozenset({0}))},
+        weights={0: 1.0, 1: 1.0},
+    )
+    assert np.array_equal(to_matrix(fam, "x", kind="edge"), np.array([[0.0, 0.0], [1.0, 0.0]]))
+    assert np.array_equal(to_matrix(fam, "x", kind="vertex"), np.diag([0.0, 1.0]))
+    assert np.array_equal(to_matrix(fam, "w"), to_matrix(fam, "w", kind="vertex"))
+    with pytest.raises(
+        OperatorError, match="'x' names both an edge and a vertex; pass kind='edge' or kind='vertex'"
+    ):
+        to_matrix(fam, "x")
+    with pytest.raises(OperatorError, match="unknown edge 'w'"):
+        to_matrix(fam, "w", kind="edge")
+    with pytest.raises(OperatorError, match="kind must be 'edge' or 'vertex', got 'loop'"):
+        to_matrix(fam, "x", kind="loop")
+
+
 def test_wpi_matrix_bounds():
     t = exact_wpi({5: 0})
     with pytest.raises(OperatorError, match="outside matrix size"):
