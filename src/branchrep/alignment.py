@@ -15,6 +15,7 @@ applies: parallel edges and undirected cycles break nothing.
 from __future__ import annotations
 
 import dataclasses
+from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import chain, combinations
 from typing import Mapping, Optional
@@ -126,22 +127,27 @@ def check_representation(
     declared complement dimension). Errors are held to ``tols.rep`` and the
     complement's rank is cut at ``tols.rank``.
 
-    Items i and iv are pairwise. A screen first builds one orthonormal basis
-    per vertex range and forms one Gram matrix of the stacked vertex bases
-    and one of the stacked edge images. From these, measured residuals and
-    Higham's rounding bounds it proves, pair by pair, that the largest entry
-    the check would compute is within ``tols.rep`` (see ``_pair_screen``).
-    Only pairs it cannot clear get their N×N product, in the same order as
-    before, so the first witness and its float value are unchanged. The
-    bound holds for any computed basis, so a poor basis or a dishonest input
-    can only leave pairs to the exact product. The screen is skipped, and
-    every pair gets its product, when an entry is non-finite, when a vertex
-    trace rounds outside [0, N], or when the vertex bases or the edge images
-    would stack wider than N. The bases only steer the screen; ranks in the
-    report still come from ``_svd_rank``.
+    A screen first builds one orthonormal basis per vertex range and forms
+    one Gram matrix of the stacked vertex bases and one of the stacked edge
+    images. From these, measured residuals and Higham's rounding bounds it
+    proves, per generator for the projections item and items ii, iii and v
+    and per pair for items i and iv, that the largest entry the check would
+    compute is within ``tols.rep`` (see ``_pair_screen``); that costs
+    O((V + E)·N²·k) plus about two N×N×N products' worth of thin ones.
+    Only what it cannot clear gets its N×N products, in the same order as
+    before, so the first witness and its float value are unchanged. Self-
+    adjointness costs O(N²) and is always measured; a vertex that fails it
+    gets its idempotency product too, for the witness. The bounds hold for
+    any computed basis, so a poor basis or a dishonest input can only leave
+    generators to the exact products. The screen is skipped, and everything
+    gets its products, when an entry is non-finite, when a vertex trace
+    rounds outside [0, N], or when the vertex bases or the edge images
+    would stack wider than N. The complement's rank comes from
+    ``_svd_rank``, which proves it without an SVD where it can.
 
-    Items iii and v share one sweep that forms each S_e·S_e* once; their
-    witnesses are still scanned by edge, resp. vertex, in document order.
+    Items iii and v share one sweep that forms each S_e·S_e* at most once;
+    their witnesses are still scanned by edge, resp. vertex, in document
+    order.
     """
     if set(rep.edge_matrices) != {e.id for e in g.edges}:
         raise RepresentationError("edge matrices do not match the graph's edges")
@@ -150,12 +156,14 @@ def check_representation(
 
     p = rep.vertex_matrices
     s = rep.edge_matrices
-    cleared_i, cleared_iv = _pair_screen(rep, g, tols.rep) or ((), ())
+    cleared = _pair_screen(rep, g, tols.rep) or defaultdict(set)
 
     def projections():
         for v in g.vertices:
-            idem = float(np.abs(p[v] @ p[v] - p[v]).max())
             herm = float(np.abs(p[v] - p[v].conj().T).max())
+            if v in cleared["projections"] and herm <= tols.rep:
+                continue
+            idem = float(np.abs(p[v] @ p[v] - p[v]).max())
             if not (idem <= tols.rep and herm <= tols.rep):
                 yield {"vertex": v, "idempotencyError": idem, "selfAdjointnessError": herm}
 
@@ -167,17 +175,22 @@ def check_representation(
                 yield {**where, "error": err}
 
     # items iii and v from one sweep over the emitters, each range product
-    # S_e·S_e* formed once; the total is summed as sum() would, from 0
+    # S_e·S_e* formed once and only for an item that needs it; the total is
+    # summed as sum() would, from 0
     range_errs: dict[str, float] = {}
     sum_errs: dict[str, float] = {}
     for v in g.vertices:
         out = g.out_edges(v)
+        summed = bool(out) and v not in cleared["v"]
         total = 0
         for e in out:
+            if not summed and e.id in cleared["iii"]:
+                continue
             q = s[e.id] @ s[e.id].conj().T
-            range_errs[e.id] = float(np.abs(p[v] @ q - q).max())
+            if e.id not in cleared["iii"]:
+                range_errs[e.id] = float(np.abs(p[v] @ q - q).max())
             total = total + q
-        if out:
+        if summed:
             sum_errs[v] = float(np.abs(total - p[v]).max())
 
     def complement():
@@ -192,16 +205,20 @@ def check_representation(
     vertex_pairs = (
         ({"vertices": [a, b]}, p[a] @ p[b])
         for a, b in combinations(g.vertices, 2)
-        if (a, b) not in cleared_i
+        if (a, b) not in cleared["i"]
     )
-    isometries = (({"edge": e.id}, s[e.id].conj().T @ s[e.id] - p[e.rng]) for e in g.edges)
+    isometries = (
+        ({"edge": e.id}, s[e.id].conj().T @ s[e.id] - p[e.rng])
+        for e in g.edges
+        if e.id not in cleared["ii"]
+    )
     edge_pairs = (
         ({"edges": [e.id, f.id]}, s[e.id].conj().T @ s[f.id])
         for e in g.edges
         for f in g.edges
-        if e.id != f.id and (e.id, f.id) not in cleared_iv
+        if e.id != f.id and (e.id, f.id) not in cleared["iv"]
     )
-    ranges = ({"edge": e.id, "error": range_errs[e.id]} for e in g.edges)
+    ranges = ({"edge": e.id, "error": range_errs[e.id]} for e in g.edges if e.id in range_errs)
     sums = ({"vertex": v, "error": err} for v, err in sum_errs.items())
     return Report(
         (
@@ -272,13 +289,20 @@ def _residual(
     return computed / (1 - _EPS) + _gamma(k) * k * left_norm * right_norm + len(m) * _UNDERFLOW
 
 
+def _gaussian(n: int, k: int) -> np.ndarray:
+    """The range finders' test matrix: a fixed-seed complex Gaussian, n×k."""
+    return np.random.default_rng(0).standard_normal((n, 2 * k)).view(complex)
+
+
 def _pair_screen(
     rep: ConcreteRepresentation, g: DirectedGraph, tol: float
-) -> Optional[tuple[set[tuple[str, str]], set[tuple[str, str]]]]:
-    """Vertex pairs (item i) and ordered edge pairs (item iv) that provably pass.
+) -> Optional[dict[str, set]]:
+    """The generators, and pairs of them, that provably pass each relation item.
 
-    A pair is in the result only when an upper bound on the largest entry
-    that ``check_representation`` would compute for it is at most ``tol``.
+    Keyed by item: 'projections' and 'v' hold vertices, 'ii' and 'iii'
+    edges, 'i' vertex pairs and 'iv' ordered edge pairs. A name is in an
+    item's set only when an upper bound on the largest entry that
+    ``check_representation`` would compute for it is at most ``tol``.
     None means the screen is skipped: an entry is non-finite, a vertex trace
     rounds outside [0, N], or the vertex bases or the edge images stack
     wider than N.
@@ -295,8 +319,27 @@ def _pair_screen(
     with c ≥ ‖C‖₂ and t ≥ ‖T‖₂ read off the Gram matrices, q ≥ ‖Q‖₂
     measured, and x = t·c + q ≥ ‖X‖₂. No entry exceeds the 2-norm, and
     γ(N)·x_a·x_b covers the rounding of the product the check itself forms.
-    Every term holds for whatever B_v and T_e were computed, so a wrong k_v,
-    an oblique projection or a dishonest input only leaves pairs uncleared.
+
+    The other items reuse these: per vertex, item i's t and q as
+    β_v ≥ ‖B_v‖₂ and r_v ≥ ‖P_v − B_v·B_v*‖₂, with h_vv ≥ ‖B_v*·B_v − I‖₂
+    and p_v = β_v² + r_v ≥ ‖P_v‖₂; per edge, item iv's t and q as
+    τ_e ≥ ‖T_e‖₂ and q_e ≥ ‖S_e − T_e·B_rng*‖₂, with h_ee ≥ ‖T_e*·T_e − I‖₂
+    and x_e ≥ ‖S_e‖₂. Writing β for β_rng(e),
+
+        projections  ‖P_v² − P_v‖₂ ≤ β_v²·h_vv + 2β_v²·r_v + r_v² + r_v
+        ii   ‖S_e*·S_e − P_rng‖₂ ≤ β²·h_ee + r_rng + 2β·τ_e·q_e + q_e²
+        iii  ‖(P_src − I)·S_e·S_e*‖₂ ≤ (‖P_src·T_e − T_e‖₂·β + ‖P_src − I‖₂·q_e)·x_e
+        v    ‖Σ S_e·S_e* − P_v‖₂ ≤ ‖W_v·W_v* − P_v‖₂ + Σ (τ_e²·h_rng + 2τ_e·β·q_e + q_e²)
+
+    with ‖P_v − I‖₂ ≤ max(1, h_vv) + r_v, W_v = [T_e] over v's out-edges and
+    ‖W_v‖₂ ≤ √(Σ τ_e²). ‖P_src·T_e − T_e‖₂ (an N×N×k product per edge) and
+    ‖W_v·W_v* − P_v‖₂ (an N×K×N product per emitter) are measured as q is.
+    Each bound also covers the rounding of what the check forms: γ(N)·p_v²
+    for P_v·P_v, γ(N)·x_e² for S_e*·S_e, γ(N + out-degree)·Σ x_e² for the
+    summed S_e·S_e*, and γ(N)·x_e²·(√N·‖P_src − I‖₂ + p_src·(1 + √N·γ(N)))
+    for P_src·(S_e·S_e*). Every term holds for whatever B_v and T_e were
+    computed, so a wrong k_v, an oblique projection or a dishonest input
+    only leaves generators and pairs uncleared.
     """
     p = rep.vertex_matrices
     s = rep.edge_matrices
@@ -309,20 +352,28 @@ def _pair_screen(
     ranks = dict(zip(g.vertices, np.rint(traces).astype(int).tolist()))
     if sum(ranks.values()) > n or sum(ranks[e.rng] for e in g.edges) > n:
         return None
-    if len(g.vertices) < 2 and len(g.edges) < 2:
-        return set(), set()
+    items = ("projections", "i", "ii", "iii", "iv", "v")
+    cleared: dict[str, set] = {item: set() for item in items}
+    if not g.vertices:
+        return cleared
 
-    def cleared(names, h, t, c, q):
+    gamma = _gamma(n)
+    # every term is a sum or product of nonnegative computed values, each
+    # rounded by at most γ(n²) relative to its size; so is the check's own
+    # last subtraction, relative to the value it reports
+    inflate = 1 + _gamma(2 * n * n + 64)
+
+    def passing(names, bound):
+        return {name for name, b in zip(names, bound * inflate) if b <= tol}
+
+    def pairs(names, h, t, c, q):
         x = t * c + q
         bound = np.outer(c, c) * h + np.outer(c * t, q) + np.outer(q, x)
-        bound += _gamma(n) * np.outer(x, x)
-        # every term is a sum or product of nonnegative computed values, each
-        # rounded by at most γ(n²) relative to its size
-        bound *= 1 + _gamma(2 * n * n + 64)
+        bound += gamma * np.outer(x, x)
+        bound *= inflate
         return {(names[a], names[b]) for a, b in zip(*np.nonzero(bound <= tol)) if a != b}
 
-    omega = np.random.default_rng(0).standard_normal((n, 2 * max(ranks.values())))
-    omega = omega.view(complex)
+    omega = _gaussian(n, max(ranks.values()))
     by_vertex = {}
     for k in set(ranks.values()):  # one batched QR per distinct rank
         group = [v for v in g.vertices if ranks[v] == k]
@@ -331,18 +382,54 @@ def _pair_screen(
     bases = [by_vertex[v] for v in g.vertices]
     h_i, beta = _gram_bounds(bases, n)
     r = np.array([_residual(p[v], b, t, b, t) for v, b, t in zip(g.vertices, bases, beta)])
-    cleared_i = cleared(g.vertices, h_i, beta, beta, r)
-    if len(g.edges) < 2:
-        return cleared_i, set()
+    h_vv = np.diag(h_i)
+    p_norm = beta**2 + r
+    cleared["i"] = pairs(g.vertices, h_i, beta, beta, r)
+    cleared["projections"] = passing(
+        g.vertices, beta**2 * (h_vv + 2 * r) + r**2 + r + gamma * p_norm**2
+    )
+    if not g.edges:
+        return cleared
 
+    ids = [e.id for e in g.edges]
     rng_of = [g.vertex_position(e.rng) for e in g.edges]
+    src_of = [g.vertex_position(e.src) for e in g.edges]
     images = [s[e.id] @ bases[i] for e, i in zip(g.edges, rng_of)]
     h_iv, tau = _gram_bounds(images, n)
+    c = beta[rng_of]
     q = np.array([
         _residual(s[e.id], image, t, bases[i], beta[i])
         for e, image, t, i in zip(g.edges, images, tau, rng_of)
     ])
-    return cleared_i, cleared([e.id for e in g.edges], h_iv, tau, beta[rng_of], q)
+    x = tau * c + q
+    cleared["iv"] = pairs(ids, h_iv, tau, c, q)
+    cleared["ii"] = passing(
+        ids, c**2 * np.diag(h_iv) + r[rng_of] + 2 * c * tau * q + q**2 + gamma * x**2
+    )
+
+    # ‖P_src·T_e − T_e‖₂, as the residual of T_e against the product P_src·T_e
+    to_src = np.array([
+        _residual(image, p[e.src], p_norm[i], image.conj().T, t)
+        for e, image, t, i in zip(g.edges, images, tau, src_of)
+    ])
+    off = (np.maximum(1.0, h_vv) + r)[src_of]
+    rounding = gamma * x**2 * (np.sqrt(n) * off + p_norm[src_of] * (1 + np.sqrt(n) * gamma))
+    cleared["iii"] = passing(ids, (to_src * c + off * q) * x + rounding)
+
+    spread = tau**2 * h_vv[rng_of] + 2 * tau * c * q + q**2
+    emitters = [v for v in g.vertices if g.out_edges(v)]
+    bound_v = []
+    for v in emitters:
+        out = [g.edge_position(e.id) for e in g.out_edges(v)]
+        w = np.hstack([images[j] for j in out])
+        w_norm = float(np.sqrt(np.sum(tau[out] ** 2)))
+        bound_v.append(
+            _residual(p[v], w, w_norm, w, w_norm)
+            + spread[out].sum()
+            + _gamma(n + len(out)) * np.sum(x[out] ** 2)
+        )
+    cleared["v"] = passing(emitters, np.array(bound_v))
+    return cleared
 
 
 # -- random models -----------------------------------------------------------
@@ -418,18 +505,59 @@ def _leftover(rep: ConcreteRepresentation, g: DirectedGraph) -> np.ndarray:
     return leftover
 
 
+# a product that overflows leaves a non-finite bound, which proves nothing;
+# the SVD then decides, so numpy is kept from warning about it
+@np.errstate(invalid="ignore", over="ignore")
+def _proved_rank(m: np.ndarray, lo: float, hi: float) -> Optional[int]:
+    """The rank of m when no singular value can lie in (lo, hi), else None.
+
+    With k = round(Re tr m) and Q the Q factor of m·Ω (Ω the range finders'
+    fixed-seed Gaussian with k columns), bounds h ≥ ‖Q*Q − I‖₂ and
+    r ≥ ‖m − QQ*‖₂, formed as ``_pair_screen`` forms them, put k singular
+    values of m at or above 1 − h − r and the other N − k at or below r
+    (Weyl's inequality). So r < lo and, for k > 0, 1 − h − r > hi prove
+    that the rank is k and that no singular value lies in the band. None
+    when they do not, or when the trace lies outside (−0.5, N + 0.5).
+    """
+    n = len(m)
+    trace = np.trace(m).real
+    if not -0.5 < trace < n + 0.5:
+        return None
+    k = int(np.rint(trace))
+    q, _ = np.linalg.qr(m @ _gaussian(n, k))
+    # _gram_bounds' allowances for the one block q, inline: at small N its
+    # multi-block bookkeeping costs about what the SVD this replaces does
+    dev = q.conj().T @ q - np.eye(k)
+    q_fro = float(np.sqrt(np.vdot(q, q).real)) + np.sqrt(n * k) * _UNDERFLOW
+    h = float(np.sqrt(np.vdot(dev, dev).real)) + k * _UNDERFLOW + _gamma(n) * q_fro**2
+    t = np.sqrt(1.0 + h)
+    r = _residual(m, q, t, q, t)
+    # the bounds' own arithmetic, as in _pair_screen
+    inflate = 1 + _gamma(2 * n * n + 64)
+    h, r = h * inflate, r * inflate
+    return k if r < lo and (k == 0 or 1 - h - r > hi) else None
+
+
 def _svd_rank(
     m: np.ndarray, rank_tol: float, compute_uv: bool
 ) -> tuple[int, Optional[np.ndarray]]:
     """Numerical rank of m, and its left singular vectors when ``compute_uv``.
 
     Singular values above ``rank_tol`` count. One inside the open band
-    (rank_tol·1e-2, rank_tol·1e2) is neither clearly zero nor clearly not, so
-    the rank is refused with DegenerateRankError rather than guessed; so is
-    the rank of a matrix with a non-finite entry or on which the SVD fails.
+    (lo, hi) = (rank_tol·1e-2, rank_tol·1e2) is neither clearly zero nor
+    clearly not, so the rank is refused with DegenerateRankError rather than
+    guessed; so is the rank of a matrix with a non-finite entry or on which
+    the SVD fails. Without ``compute_uv`` the rank is first proved without
+    an SVD (``_proved_rank``); only when that fails does the SVD decide, as
+    it would have without the proof.
     """
     if not np.isfinite(m).all():
         raise DegenerateRankError("matrix has non-finite entries; rank is undefined")
+    lo, hi = rank_tol * 1e-2, rank_tol * 1e2
+    if not compute_uv:
+        rank = _proved_rank(m, lo, hi)
+        if rank is not None:
+            return rank, None
     try:
         if compute_uv:
             u, sv, _ = np.linalg.svd(m)
@@ -437,7 +565,6 @@ def _svd_rank(
             u, sv = None, np.linalg.svd(m, compute_uv=False)
     except np.linalg.LinAlgError as err:
         raise DegenerateRankError(f"SVD failed ({err}); rank is undefined") from None
-    lo, hi = rank_tol * 1e-2, rank_tol * 1e2
     shady = [float(x) for x in sv if lo < x < hi]
     if shady:
         raise DegenerateRankError(
@@ -478,12 +605,13 @@ def align_bases(
 
     The construction applies exactly to graphs with no directed cycle, the
     graphs ``sink_first_order`` can order; NotApplicableError says a graph
-    has one, before any SVD. Every vertex then gets an SVD of its
-    projection, in document order: a sink or an isolated vertex keeps the
-    free basis of its range, from a full SVD. An emitter keeps only the
-    rank, so its SVD is values-only; when that refuses the rank, the full
-    SVD is taken and decides, so a refusal quotes the singular values a full
-    SVD gives. Vertices are settled in that order: an emitter's block is
+    has one, before any SVD. Every vertex's projection is then read, in
+    document order: a sink or an isolated vertex keeps the free basis of its
+    range, from a full SVD. An emitter keeps only the rank, which
+    ``_svd_rank`` proves without an SVD where it can, else reads off a
+    values-only SVD; when that refuses the rank, the full SVD is taken and
+    decides, so a refusal quotes the singular values a full SVD gives.
+    Vertices are settled in that order: an emitter's block is
     S_e·B_rng(e) for its out-edges e, side by side in document order, which
     must have that rank. Isolated vertices keep their free basis unchecked,
     and the complement gets one too, from a full SVD. Singular values are
@@ -675,6 +803,19 @@ def extract_branching_system(
         raise AlignmentError(
             f"block-to-block condition fails at edge '{bad.item}': {bad.witness}"
         )
+    return _certificate(rep, ba, g, matches)
+
+
+def _certificate(
+    rep: ConcreteRepresentation,
+    ba: BasisAssignment,
+    g: DirectedGraph,
+    matches: dict[str, dict[int, int]],
+) -> EquivalenceCertificate:
+    """The certificate ``extract_branching_system`` builds from strict matches.
+
+    ``matches`` are those of a passing ``_b2b_matches`` without phase slack.
+    """
     system = DiscreteBranchingSystem(
         universe=tuple(range(rep.dim)),
         range_sets={e.id: frozenset(ba.edge_bases[e.id]) for e in g.edges},

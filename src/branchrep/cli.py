@@ -8,7 +8,8 @@ representation), ``align`` (adapted basis, block-to-block check, extracted
 system, unitary, residuals).
 
 Exit codes: 0 all checks pass, 1 a check fails (reports are still written),
-2 malformed input or a graph shape the construction does not cover.
+2 malformed input, input too large to allocate, or a graph shape the
+construction does not cover.
 """
 
 from __future__ import annotations
@@ -26,9 +27,10 @@ from .alignment import (
     AlignmentError,
     NotApplicableError,
     RepresentationError,
+    _b2b_matches,
+    _certificate,
     _construction_order,
     align_bases,
-    check_b2b,
     check_representation,
     extract_branching_system,
     rep_from_json,
@@ -349,14 +351,19 @@ def cmd_align(args: argparse.Namespace) -> int:
 
     try:
         ba = align_bases(rep, g, tols)
-        b2b = check_b2b(rep, ba, g, tols, allow_phase=args.phase_slack)
+        b2b, matches = _b2b_matches(rep, ba, g, tols.b2b, args.phase_slack)
         if not b2b.passed:
             out = {"seed": args.seed, "b2b": b2b.to_json(), "passed": False}
             _emit(out, args)
             bad = b2b.failures()[0]
             print(f"check failed: edge '{bad.item}': {bad.witness}", file=sys.stderr)
             return 1
-        cert = extract_branching_system(rep, ba, g, tols)
+        # matches found with phase slack may differ by a phase, so the
+        # system is then extracted from a strict matching of its own
+        if args.phase_slack:
+            cert = extract_branching_system(rep, ba, g, tols)
+        else:
+            cert = _certificate(rep, ba, g, matches)
         cert = verify_equivalence(rep, cert, g, tols)
     except AlignmentError as err:
         _emit({"seed": args.seed, "error": str(err), "passed": False}, args)
@@ -493,6 +500,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except AlignmentError as err:
         print(f"check failed: {err}", file=sys.stderr)
         return 1
+    except MemoryError as err:
+        # numpy's message names the array it could not allocate
+        print(f"error: {str(err) or 'out of memory'}", file=sys.stderr)
+        return 2
 
 
 def entry() -> None:

@@ -223,6 +223,8 @@ def _svd_calls(monkeypatch, rep):
 
 
 def test_only_sinks_isolated_vertices_and_the_complement_get_singular_vectors(monkeypatch):
+    """An emitter keeps only its rank, which on honest input ``_svd_rank``
+    proves without any SVD."""
     rng = np.random.default_rng(4)
     doc = genutil.tree_doc(rng, 9)
     doc["vertices"] += ["iso0", "iso1"]
@@ -235,7 +237,7 @@ def test_only_sinks_isolated_vertices_and_the_complement_get_singular_vectors(mo
     assert sorted(v for v, uv in calls if uv) == sorted(
         [v for v in g.vertices if not g.out_edges(v)] + ["complement"]
     )
-    assert sorted(v for v, uv in calls if not uv) == sorted(emitters)
+    assert [v for v, uv in calls if not uv] == []
 
 
 @pytest.mark.parametrize("seed", range(4))

@@ -9,6 +9,7 @@ entry, where the original lets NaN errors pass and the library fails them.
 
 import dataclasses
 import json
+import warnings
 from fractions import Fraction
 from itertools import combinations
 
@@ -272,6 +273,69 @@ def plant_edge_overlap(rep, e, f, size):
     return dataclasses.replace(rep, edge_matrices=edges)
 
 
+def plant_projection_defect(rng, rep, g, v, size):
+    """P_v plus c·uu* for a unit u of range(P_v): P_v² − P_v becomes
+    (c + c²)·uu*, c scaled so that its largest entry is about ``size``."""
+    u = _unit_in_range(rng, rep.vertex_matrices[v])
+    vertices = dict(rep.vertex_matrices)
+    vertices[v] = vertices[v] + size / np.abs(u).max() ** 2 * np.outer(u, u.conj())
+    return dataclasses.replace(rep, vertex_matrices=vertices)
+
+
+def plant_isometry_defect(rng, rep, g, e, size):
+    """S_e·(I + c·ww*) for a unit w of range(P_rng): S_e*·S_e − P_rng becomes
+    (2c + c²)·ww*, c scaled so that its largest entry is about ``size``."""
+    s = rep.edge_matrices[e]
+    w = _unit_in_range(rng, rep.vertex_matrices[g.edge(e).rng])
+    c = size / (2 * np.abs(w).max() ** 2)
+    edges = {**rep.edge_matrices, e: s + c * np.outer(s @ w, w.conj())}
+    return dataclasses.replace(rep, edge_matrices=edges)
+
+
+def plant_range_escape(rng, rep, g, e, size):
+    """S_e plus c·zw* for a unit z orthogonal to range(P_src) and a unit w of
+    range(P_rng): (P_src − I)·S_e·S_e* becomes −c·z(S_e·w)* − c²·zz*, c
+    scaled so that its largest entry is about ``size``."""
+    s = rep.edge_matrices[e]
+    z = _unit_in_range(rng, np.eye(rep.dim) - rep.vertex_matrices[g.edge(e).src])
+    w = _unit_in_range(rng, rep.vertex_matrices[g.edge(e).rng])
+    c = size / (np.abs(z).max() * np.abs(s @ w).max())
+    edges = {**rep.edge_matrices, e: s + c * np.outer(z, w.conj())}
+    return dataclasses.replace(rep, edge_matrices=edges)
+
+
+def plant_sum_defect(rng, rep, g, v, size):
+    """v's first out-edge S_e scaled by 1 + c: Σ S_f·S_f* − P_v becomes
+    (2c + c²)·S_e·S_e*, c scaled so that its largest entry is about ``size``."""
+    e = g.out_edges(v)[0].id
+    s = rep.edge_matrices[e]
+    c = size / (2 * np.abs(s @ s.conj().T).max())
+    return dataclasses.replace(rep, edge_matrices={**rep.edge_matrices, e: (1 + c) * s})
+
+
+def plant_outside_ranges(rng, rep, g, e, size):
+    """S_e plus c·yz* for a unit y orthogonal to range(P_src) and a unit z
+    orthogonal to range(P_rng). S_e·B_rng misses it, so only the residual
+    of S_e against its image sees it; items ii, iii and v move by c² only:
+    Σ S_f·S_f* − P_src gains c²·yy*, c scaled so that its largest entry is
+    about ``size``."""
+    y = _unit_in_range(rng, np.eye(rep.dim) - rep.vertex_matrices[g.edge(e).src])
+    z = _unit_in_range(rng, np.eye(rep.dim) - rep.vertex_matrices[g.edge(e).rng])
+    c = np.sqrt(size) / np.abs(y).max()
+    edges = {**rep.edge_matrices, e: rep.edge_matrices[e] + c * np.outer(y, z.conj())}
+    return dataclasses.replace(rep, edge_matrices=edges)
+
+
+# single-generator defects: the plant, where it goes, and the item it breaks
+DEFECTS = {
+    "projections": (plant_projection_defect, "vertex", "projections"),
+    "ii": (plant_isometry_defect, "edge", "ii"),
+    "iii": (plant_range_escape, "edge", "iii"),
+    "v": (plant_sum_defect, "emitter", "v"),
+    "v-outside": (plant_outside_ranges, "edge", "v"),
+}
+
+
 @st.composite
 def dense_representations(draw):
     """A random honest representation with one mutation, and the tolerances
@@ -279,7 +343,8 @@ def dense_representations(draw):
 
     Graphs are attachment trees or in-stars (every edge into one vertex) of
     2 to 12 vertices. Mutations: the finite ones below, an item-i or item-iv
-    overlap planted at 0.5 or 2 times the tolerance, or one non-finite entry.
+    overlap or a projections, ii, iii or v defect planted at 0.5 or 2 times
+    the tolerance, or one non-finite entry.
     """
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     size = draw(st.integers(2, 12))
@@ -302,7 +367,7 @@ def dense_representations(draw):
     kind = draw(
         st.sampled_from(
             ["none", "real", "entry", "scale", "swap", "rank", "complement",
-             "overlap-i", "overlap-iv", "non-finite"]
+             "overlap-i", "overlap-iv", "non-finite", *DEFECTS]
         )
     )
     mats = edges if edges and draw(st.booleans()) else vertices
@@ -334,6 +399,14 @@ def dense_representations(draw):
     elif kind == "overlap-iv" and len(edges) > 1:
         e, f = draw(st.permutations(sorted(edges)))[:2]
         return g, plant_edge_overlap(rep, e, f, planted), tols
+    elif kind in DEFECTS:
+        plant, where, _ = DEFECTS[kind]
+        names = {
+            "vertex": g.vertices,
+            "edge": [e.id for e in g.edges],
+            "emitter": [v for v in g.vertices if g.out_edges(v)],
+        }[where]
+        return g, plant(rng, rep, g, draw(st.sampled_from(names)), planted), tols
     elif kind == "non-finite":
         m = mats[key].copy()
         m[draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))] = draw(
@@ -383,10 +456,13 @@ def _tree_150():
 def test_screen_clears_every_pair_of_an_honest_large_tree():
     g, rep = _tree_150()
     assert rep.dim == 150 and len(g.vertices) == 30
-    cleared_i, cleared_iv = alignment._pair_screen(rep, g, Tolerances().rep)
-    assert cleared_i >= set(combinations(g.vertices, 2))
+    cleared = alignment._pair_screen(rep, g, Tolerances().rep)
+    assert cleared["i"] >= set(combinations(g.vertices, 2))
     ids = [e.id for e in g.edges]
-    assert cleared_iv == {(e, f) for e in ids for f in ids if e != f}
+    assert cleared["iv"] == {(e, f) for e in ids for f in ids if e != f}
+    assert cleared["projections"] == set(g.vertices)
+    assert cleared["ii"] == cleared["iii"] == set(ids)
+    assert cleared["v"] == {v for v in g.vertices if g.out_edges(v)}
     assert check_representation(rep, g).passed
 
 
@@ -409,10 +485,220 @@ def test_planted_pair_is_reported_as_the_original_reports_it(item, factor):
     if factor < 1:
         assert report.item(item).status == "pass"
     else:
-        assert pair not in alignment._pair_screen(rep, g, tols.rep)[item == "iv"]
+        assert pair not in alignment._pair_screen(rep, g, tols.rep)[item]
         witness = report.item(item).witness
         assert witness[{"i": "vertices", "iv": "edges"}[item]] == list(pair)
         assert witness["error"] > tols.rep
+
+
+@pytest.mark.parametrize("defect", list(DEFECTS))
+@pytest.mark.parametrize("factor", [0.5, 2.0])
+def test_planted_defect_is_reported_as_the_original_reports_it(defect, factor):
+    """A single-generator defect planted at 0.5 or 2 times the tolerance
+    passes or fails as in the original scan; at 2 times the screen must
+    leave it to the exact product, which reports the original's float. The
+    projections plant sits on an edge's range vertex, so item ii must also
+    see it, through that vertex's residual alone."""
+    g, rep = _tree_150()
+    tols = Tolerances()
+    e = g.edges[6]
+    plant, where, item = DEFECTS[defect]
+    target = {"vertex": e.rng, "edge": e.id, "emitter": e.src}[where]
+    rep = plant(np.random.default_rng(1), rep, g, target, factor * tols.rep)
+    report = check_representation(rep, g, tols)
+    _same(report, oracle.check_representation(rep, g, tols.rep))
+    if factor < 1:
+        assert report.item(item).status == "pass"
+    else:
+        named = {"projections": e.rng, "ii": e.id, "iii": e.id, "v": e.src}[item]
+        assert named not in alignment._pair_screen(rep, g, tols.rep)[item]
+        witness = report.item(item).witness
+        assert witness["edge" if item in ("ii", "iii") else "vertex"] == named
+        if item == "projections":
+            assert witness["idempotencyError"] > tols.rep
+            assert report.item("ii").witness["edge"] == e.id
+        else:
+            assert witness["error"] > tols.rep
+
+
+# -- the rank proof ---------------------------------------------------------------
+
+
+def _rank_or_refusal(rank_of, m):
+    try:
+        return rank_of(m)
+    except alignment.DegenerateRankError as err:
+        return str(err)
+
+
+def _proved_or_svd_rank(m):
+    return alignment._svd_rank(m, Tolerances().rank, compute_uv=False)[0]
+
+
+def _planted(rng, m, delta):
+    """m plus δ·ww* for a unit w of range(I − m), which m's own range misses
+    when m is a projection: one more singular value, of about δ."""
+    w = _unit_in_range(rng, np.eye(len(m)) - m)
+    return m + delta * np.outer(w, w.conj())
+
+
+@st.composite
+def rank_cases(draw):
+    """An emitter's projection or the complement I − Σ P_v of an honest
+    representation, as is or with δ·ww* planted, δ log-uniform in
+    [1e-15, 1e-6]."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    g = genutil.tree_graph(rng, draw(st.integers(2, 12)))
+    rep = random_representation(
+        g,
+        genutil.random_sink_dims(rng, g, 3),
+        complement_dim=draw(st.integers(0, 2)),
+        seed=draw(st.integers(0, 1000)),
+        axis_aligned=draw(st.booleans()),
+    )
+    if draw(st.booleans()):
+        m = rep.vertex_matrices[draw(st.sampled_from([v for v in g.vertices if g.out_edges(v)]))]
+    else:
+        m = alignment._leftover(rep, g)
+    if draw(st.booleans()):
+        m = _planted(rng, m, 10.0 ** draw(st.floats(-15, -6)))
+    return m
+
+
+@settings(max_examples=oracle_examples(150), deadline=None)
+@given(rank_cases())
+def test_rank_proof_gives_the_svds_rank_or_refusal(m):
+    """The rank ``_svd_rank`` proves, or the refusal its fallback words, is
+    the values-only SVD's, unless a singular value lies within 1e-6
+    relative of a band edge, where rounding may decide either way."""
+    expected = _rank_or_refusal(lambda m: oracle._stable_rank(m, Tolerances().rank), m)
+    lo, hi = oracle.DEGENERATE_BAND
+    sv = np.linalg.svd(m, compute_uv=False)
+    if not any(abs(x - edge) <= 1e-6 * edge for x in sv for edge in (lo, hi)):
+        assert _rank_or_refusal(_proved_or_svd_rank, m) == expected
+
+
+def _unit_missed_by_the_range_finder(m):
+    """A unit w of range(I − m) orthogonal to the k columns of the Gaussian
+    that ``_svd_rank`` multiplies m by, so that m + δ·ww* times it is m times
+    it: the range finder's Q misses the plant, and its residual is δ."""
+    n = len(m)
+    k = round(np.trace(m).real)
+    evals, evecs = np.linalg.eigh(np.eye(n) - m)
+    away = evecs[:, evals > 0.5]
+    a = np.linalg.svd(alignment._gaussian(n, k).conj().T @ away)[2][-1].conj()
+    return away @ a
+
+
+@pytest.mark.parametrize("delta", [0.0, 5e-13, 1.2e-12, 1e-10, 1.5e-8, 1e-6])
+@pytest.mark.parametrize("which", ["emitter", "complement"])
+def test_rank_proof_stands_aside_inside_the_band(monkeypatch, which, delta):
+    """δ below the band's lower edge 1e-12 keeps the rank and needs no SVD;
+    δ just above it, or anywhere in the band, is refused in the SVD's
+    digits; δ past the upper edge 1e-8 adds one to the rank. The plant is
+    one the range finder misses, so the proof sees δ itself."""
+    rng = np.random.default_rng(3)
+    g = genutil.tree_graph(rng, 8)
+    rep = random_representation(g, genutil.random_sink_dims(rng, g, 3), 2, seed=4)
+    emitter = next(v for v in g.vertices if g.out_edges(v))
+    m = rep.vertex_matrices[emitter] if which == "emitter" else alignment._leftover(rep, g)
+    k = round(np.trace(m).real)
+    w = _unit_missed_by_the_range_finder(m)
+    m = m + delta * np.outer(w, w.conj())
+    svds = []
+    svd = np.linalg.svd
+
+    def spy(*args, **kwargs):
+        svds.append(kwargs)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(alignment.np.linalg, "svd", spy)
+    got = _rank_or_refusal(_proved_or_svd_rank, m)
+    monkeypatch.setattr(alignment.np.linalg, "svd", svd)
+    assert got == _rank_or_refusal(lambda m: oracle._stable_rank(m, Tolerances().rank), m)
+    if delta < 1e-12:
+        assert got == k and svds == []
+    elif delta < 1e-8:
+        assert got.startswith("singular value(s) [")
+    else:
+        assert got == k + 1
+
+
+def test_rank_proof_that_overflows_leaves_the_rank_to_the_svd():
+    """Entries near the top of the float range overflow the proof's
+    products; the proof then proves nothing, with no numpy warning, and the
+    SVD decides."""
+    m = np.zeros((5, 5), dtype=complex)
+    m[0, 0] = 1.0
+    m[0, 1:] = 1e308
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _proved_or_svd_rank(m) == oracle._stable_rank(m, Tolerances().rank) == 1
+
+
+def test_residual_bound_covers_the_rounding_of_its_product():
+    """m is the computed L·R*, so the measured part of the bound is zero;
+    the exact ‖m − L·R*‖, which the rounding makes nonzero, must still be
+    covered, and Frobenius ≥ 2-norm."""
+    rng = np.random.default_rng(5)
+    left = rng.standard_normal((20, 8)) * 3.0
+    right = rng.standard_normal((20, 8)) / 7.0
+    m = left @ right.T
+    exact = [
+        [Fraction(m[i, j]) - sum(Fraction(a) * Fraction(b) for a, b in zip(left[i], right[j]))
+         for j in range(20)]
+        for i in range(20)
+    ]
+    frobenius_sq = sum(d * d for row in exact for d in row)
+    assert frobenius_sq > 0
+    bound = alignment._residual(
+        m, left, np.linalg.norm(left, 2) * (1 + 1e-9), right, np.linalg.norm(right, 2) * (1 + 1e-9)
+    )
+    assert Fraction(bound) ** 2 >= frobenius_sq
+
+
+class _CountingMatrix(np.ndarray):
+    """A matrix that counts the square products of its own size it enters."""
+
+    products = 0
+
+    def _count(self, other):
+        if np.shape(other) == self.shape and self.shape[0] == self.shape[-1]:
+            type(self).products += 1
+
+    def __matmul__(self, other):
+        self._count(other)
+        return np.asarray(self) @ np.asarray(other)
+
+    def __rmatmul__(self, other):
+        self._count(other)
+        return np.asarray(other) @ np.asarray(self)
+
+
+def test_honest_input_is_checked_without_n_by_n_products_or_svds(monkeypatch):
+    """On the honest N = 150 tree, and on a single edge, every relation item
+    is settled by the screen and the complement's rank by its proof: no
+    product of two N×N matrices and no SVD."""
+    svds = []
+    svd = np.linalg.svd
+
+    def spy(*args, **kwargs):
+        svds.append(kwargs)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(alignment.np.linalg, "svd", spy)
+    monkeypatch.setattr(_CountingMatrix, "products", 0)
+    single = graph_from_json(
+        {"vertices": ["u", "v"], "edges": [{"id": "e", "src": "u", "rng": "v"}]}
+    )
+    for g, rep in (_tree_150(), (single, random_representation(single, {"v": 3}, 1, seed=2))):
+        counted = dataclasses.replace(
+            rep,
+            edge_matrices={k: m.view(_CountingMatrix) for k, m in rep.edge_matrices.items()},
+            vertex_matrices={k: m.view(_CountingMatrix) for k, m in rep.vertex_matrices.items()},
+        )
+        assert check_representation(counted, g).passed
+    assert _CountingMatrix.products == 0 and svds == []
 
 
 def _skip_cases():

@@ -11,13 +11,16 @@ from branchrep import (
     Tolerances,
     align_bases,
     branching_to_json,
+    coordinate_export,
+    extract_branching_system,
     graph_from_json,
     random_representation,
     rep_from_json,
     rep_to_json,
     synthesize,
+    verify_equivalence,
 )
-from branchrep import cli, structure
+from branchrep import alignment, cli, structure
 from branchrep.cli import main
 from conftest import EXAMPLE_GRAPH_PATH, FIXTURES, GOLDEN, path_graph
 
@@ -599,6 +602,16 @@ def test_verify_rejects_shapeless_document(capsys, tmp_path):
     assert "cannot tell what to verify" in err
 
 
+def test_verify_two_leaf_representation_matches_golden_bytes(capsys):
+    """Every item passes with a null witness, so no float reaches the report
+    and the bytes are the same under any BLAS."""
+    code, out, _ = run(
+        capsys, "verify", str(TWO_LEAF_REP_PATH), "--graph", str(TWO_LEAF_GRAPH_PATH)
+    )
+    assert code == 0
+    assert out == (GOLDEN / "verify_two_leaf_rep.json").read_text(encoding="utf-8")
+
+
 # -- align -----------------------------------------------------------------------
 
 
@@ -793,6 +806,42 @@ def test_align_phase_slack_accepts_honest_tree(capsys, tmp_path, dims, seed, dim
     assert out == strict
 
 
+ALIGN_FILES = ("system.json", "unitary.txt", "report.json")
+
+
+def test_align_matches_blocks_once_unless_phase_slack(capsys, tmp_path, monkeypatch):
+    """Without --phase-slack the certificate is built from the check's own
+    block matches; with it, extraction matches strictly a second time. The
+    files are the same bytes either way, and those the public functions give."""
+    gpath = write_json(tmp_path / "g.json", FOUR_VERTEX_TREE_DOC)
+    g = graph_from_json(FOUR_VERTEX_TREE_DOC)
+    rep = random_representation(g, {"b": 3, "c": 4}, complement_dim=1, seed=1)
+    rpath = write_json(tmp_path / "rep.json", rep_to_json(rep))
+    calls = []
+    b2b_matches = alignment._b2b_matches
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return b2b_matches(*args, **kwargs)
+
+    # cli imports the name; extract_branching_system looks it up in alignment
+    monkeypatch.setattr(alignment, "_b2b_matches", spy)
+    monkeypatch.setattr(cli, "_b2b_matches", spy)
+    files = {}
+    for flags, matchings in (((), 1), (("--phase-slack",), 2)):
+        calls.clear()
+        out_dir = tmp_path / f"out{len(flags)}"
+        code, _, _ = run(
+            capsys, "align", rpath, "--graph", gpath, "--out-dir", str(out_dir), *flags
+        )
+        assert code == 0 and len(calls) == matchings
+        files[flags] = [(out_dir / name).read_bytes() for name in ALIGN_FILES]
+    assert files[()] == files[("--phase-slack",)]
+    cert = verify_equivalence(rep, extract_branching_system(rep, align_bases(rep, g), g), g)
+    assert files[()][0] == cli._json_text(branching_to_json(cert.system)).encode()
+    assert files[()][1] == coordinate_export(cert.unitary).encode()
+
+
 def test_align_residual_tolerance_can_force_failure(capsys, tmp_path):
     gpath = write_json(tmp_path / "g.json", TWO_LEAF_DOC)
     g = graph_from_json(TWO_LEAF_DOC)
@@ -861,6 +910,19 @@ def test_huge_integer_representation_entry_exits_2(tmp_path, command):
     result = _run_module(command, rpath, "--graph", gpath)
     assert result.returncode == 2 and result.stdout == ""
     assert result.stderr == "error: vertices['u'][2] has an entry too large for a float\n"
+
+
+@pytest.mark.parametrize("command", ["verify", "align"])
+def test_representation_too_large_to_allocate_exits_2(tmp_path, command):
+    """dim 10⁸ parses, but the complement item's N×N identity would take
+    142 PiB; numpy refuses that at once, without touching memory."""
+    gpath = write_json(tmp_path / "g.json", {"vertices": [], "edges": []})
+    doc = {"dim": 10**8, "complementDim": 0, "edges": {}, "vertices": {}}
+    rpath = write_json(tmp_path / "rep.json", doc)
+    result = _run_module(command, rpath, "--graph", gpath)
+    assert result.returncode == 2 and result.stdout == ""
+    assert len(result.stderr.splitlines()) == 1
+    assert result.stderr.startswith("error: ") and "allocate" in result.stderr
 
 
 @pytest.mark.parametrize("command", ["induce", "verify"])
