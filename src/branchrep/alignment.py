@@ -575,9 +575,12 @@ def _svd_rank(
 
 
 def _svd_basis(m: np.ndarray, rank_tol: float) -> np.ndarray:
-    """Orthonormal basis, as columns, of the range of m."""
+    """Orthonormal basis, as columns, of the range of m.
+
+    A copy, so that the basis does not keep the whole N×N factor alive.
+    """
     rank, u = _svd_rank(m, rank_tol, compute_uv=True)
-    return u[:, :rank]
+    return u[:, :rank].copy()
 
 
 # -- the sink-first basis construction ---------------------------------------
@@ -630,8 +633,7 @@ def align_bases(
             except DegenerateRankError:
                 free[v], _ = _svd_rank(m, tols.rank, compute_uv=True)
         else:
-            rank, u = _svd_rank(m, tols.rank, compute_uv=True)
-            free[v] = u[:, :rank]
+            free[v] = _svd_basis(m, tols.rank)
     vertex_vecs: dict[str, np.ndarray] = {}
     edge_offsets: dict[str, int] = {}
     for v in order:
@@ -714,7 +716,6 @@ def _b2b_matches(
     ba: BasisAssignment,
     g: DirectedGraph,
     tol: float,
-    allow_phase: bool,
 ) -> tuple[Report, dict[str, dict[int, int]]]:
     items: list[CheckItem] = []
     matches: dict[str, dict[int, int]] = {}
@@ -742,12 +743,7 @@ def _b2b_matches(
             for t in range(len(tgt)):
                 if t in used:
                     continue
-                tv = targets[:, t]
-                if allow_phase:
-                    # the unit phase that best aligns tv with img (1 if orthogonal)
-                    inner = complex(np.vdot(tv, img))
-                    tv = tv * (inner / abs(inner) if inner else 1.0)
-                resid = float(np.linalg.norm(img - tv))
+                resid = float(np.linalg.norm(img - targets[:, t]))
                 if resid < best_resid:
                     best, best_resid = t, resid
             if not best_resid <= tol:
@@ -772,14 +768,15 @@ def check_b2b(
     ba: BasisAssignment,
     g: DirectedGraph,
     tols: Tolerances = Tolerances(),
-    allow_phase: bool = False,
 ) -> Report:
     """Per-edge check that the edge operator maps block onto block, bijectively.
 
+    The match is strict, as in a branching system: each image must lie within
+    ``tols.b2b`` of a target basis vector itself, not of a phase multiple.
     Each item is named by its edge; a failure's witness carries the first
     domain basis vector whose image misses every unmatched target vector.
     """
-    report, _ = _b2b_matches(rep, ba, g, tols.b2b, allow_phase)
+    report, _ = _b2b_matches(rep, ba, g, tols.b2b)
     return report
 
 
@@ -797,7 +794,7 @@ def extract_branching_system(
     the k-th global basis vector to the k-th standard coordinate vector.
     Residuals start empty; ``verify_equivalence`` fills them.
     """
-    report, matches = _b2b_matches(rep, ba, g, tols.b2b, allow_phase=False)
+    report, matches = _b2b_matches(rep, ba, g, tols.b2b)
     if not report.passed:
         bad = report.failures()[0]
         raise AlignmentError(
@@ -812,10 +809,8 @@ def _certificate(
     g: DirectedGraph,
     matches: dict[str, dict[int, int]],
 ) -> EquivalenceCertificate:
-    """The certificate ``extract_branching_system`` builds from strict matches.
-
-    ``matches`` are those of a passing ``_b2b_matches`` without phase slack.
-    """
+    """The certificate ``extract_branching_system`` builds from the matches
+    of a passing ``_b2b_matches``."""
     system = DiscreteBranchingSystem(
         universe=tuple(range(rep.dim)),
         range_sets={e.id: frozenset(ba.edge_bases[e.id]) for e in g.edges},

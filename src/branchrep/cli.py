@@ -32,7 +32,6 @@ from .alignment import (
     _construction_order,
     align_bases,
     check_representation,
-    extract_branching_system,
     rep_from_json,
     verify_equivalence,
 )
@@ -351,20 +350,14 @@ def cmd_align(args: argparse.Namespace) -> int:
 
     try:
         ba = align_bases(rep, g, tols)
-        b2b, matches = _b2b_matches(rep, ba, g, tols.b2b, args.phase_slack)
+        b2b, matches = _b2b_matches(rep, ba, g, tols.b2b)
         if not b2b.passed:
             out = {"seed": args.seed, "b2b": b2b.to_json(), "passed": False}
             _emit(out, args)
             bad = b2b.failures()[0]
             print(f"check failed: edge '{bad.item}': {bad.witness}", file=sys.stderr)
             return 1
-        # matches found with phase slack may differ by a phase, so the
-        # system is then extracted from a strict matching of its own
-        if args.phase_slack:
-            cert = extract_branching_system(rep, ba, g, tols)
-        else:
-            cert = _certificate(rep, ba, g, matches)
-        cert = verify_equivalence(rep, cert, g, tols)
+        cert = verify_equivalence(rep, _certificate(rep, ba, g, matches), g, tols)
     except AlignmentError as err:
         _emit({"seed": args.seed, "error": str(err), "passed": False}, args)
         print(f"check failed: {err}", file=sys.stderr)
@@ -463,11 +456,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("rep", help="representation JSON file")
     p.add_argument("--graph", required=True, help="graph JSON file")
     p.add_argument("--out-dir", metavar="DIR", help="write system.json, unitary.txt, report.json")
-    p.add_argument(
-        "--phase-slack",
-        action="store_true",
-        help="accept block-to-block matches that differ by a unit scalar",
-    )
     p.set_defaults(func=cmd_align)
 
     return parser

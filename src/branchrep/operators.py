@@ -237,7 +237,6 @@ def wpi_matrix(t: WeightedPartialIsometry, size: int) -> np.ndarray:
 def to_matrix(
     fam: GeneratorFamily,
     generator_id: str,
-    max_size: Optional[int] = None,
     *,
     kind: Optional[str] = None,
 ) -> np.ndarray:
@@ -257,8 +256,6 @@ def to_matrix(
     if fam.universe != tuple(range(len(fam.universe))):
         raise OperatorError("dense export needs a contiguous 0-based universe")
     size = len(fam.universe)
-    if max_size is not None and size > max_size:
-        raise OperatorError(f"universe size {size} exceeds max_size {max_size}")
     if kind != "vertex" and generator_id in fam.edge_ops:
         return wpi_matrix(fam.edge_ops[generator_id], size)
     if kind != "edge" and generator_id in fam.vertex_projs:

@@ -194,6 +194,35 @@ def test_corrupted_input_fails_as_the_original_fails(case, faults, seed):
         assert order.index(named) < order.index(other)
 
 
+@settings(max_examples=oracle_examples(100), deadline=None)
+@given(
+    honest_cases(),
+    st.booleans(),
+    st.integers(1, 3),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([1e-10, 1e-6, 1e-3]),
+)
+def test_own_basis_matches_block_to_block_positionally(case, corrupt, faults, seed, rep_tol):
+    """An emitter's block is the images S_e·B_rng(e) themselves, so on the
+    basis ``align_bases`` returns the strict block-to-block matching passes
+    and pairs each domain vector with the target in its own position,
+    whenever the relation check passes and the basis is built."""
+    g, rep = case
+    if corrupt:
+        rep = _corrupt(rep, g, np.random.default_rng(seed), faults)
+    tols = Tolerances(rep=rep_tol)
+    if not check_representation(rep, g, tols).passed:
+        return
+    try:
+        ba = align_bases(rep, g, tols)
+    except AlignmentError:
+        return
+    report, matches = alignment._b2b_matches(rep, ba, g, tols.b2b)
+    assert report.passed
+    for e in g.edges:
+        assert matches[e.id] == dict(zip(ba.vertex_bases[e.rng], ba.edge_bases[e.id]))
+
+
 def test_align_bases_does_not_compute_vertex_roles(monkeypatch):
     rng = np.random.default_rng(3)
     g = genutil.tree_graph(rng, 7)

@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import json
 import re
@@ -230,6 +231,28 @@ def test_readme_tolerance_table_lists_the_defaults():
     assert [(name, float(value)) for name, value in rows] == [
         (f.name, f.default) for f in dataclasses.fields(Tolerances)
     ]
+
+
+def test_readme_command_line_names_every_option():
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text(encoding="utf-8").split("## Command line", 1)[1]
+    section = section.split("\n## ", 1)[0]
+    (subparsers,) = (
+        a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    options = {
+        (command, option)
+        for command, parser in subparsers.choices.items()
+        for action in parser._actions
+        for option in action.option_strings
+        if option not in ("-h", "--help")
+    }
+    missing = sorted(
+        (command, option)
+        for command, option in options
+        if not re.search(rf"(?<![\w-]){re.escape(option)}(?![\w-])", section)
+    )
+    assert missing == []
 
 
 # -- synthesize -----------------------------------------------------------------
@@ -779,40 +802,29 @@ def test_align_out_dir_writes_artifacts(capsys, tmp_path):
     assert report == doc
 
 
-def test_align_phase_slack_flag(capsys, tmp_path):
-    gpath = write_json(tmp_path / "g.json", TWO_LEAF_DOC)
-    g = graph_from_json(TWO_LEAF_DOC)
-    rep = random_representation(g, {"a": 1, "b": 1}, seed=10)
-    rpath = write_json(tmp_path / "rep.json", rep_to_json(rep))
-    code, doc, _ = run_json(
-        capsys, "align", rpath, "--graph", gpath, "--phase-slack"
-    )
-    assert code == 0 and doc["passed"] is True
+def test_align_has_no_phase_slack_flag(capsys):
+    rpath, gpath = str(TWO_LEAF_REP_PATH), str(TWO_LEAF_GRAPH_PATH)
+    code, out, err = run(capsys, "align", rpath, "--graph", gpath, "--phase-slack")
+    assert code == 2 and out == ""
+    assert "unrecognized arguments: --phase-slack" in err
 
 
 @pytest.mark.parametrize(
     "dims, seed, dim", [({"b": 3, "c": 4}, 1, 19), ({"b": 2, "c": 1}, 2, 8)]
 )
-def test_align_phase_slack_accepts_honest_tree(capsys, tmp_path, dims, seed, dim):
+def test_align_accepts_honest_tree(capsys, tmp_path, dims, seed, dim):
     gpath = write_json(tmp_path / "g.json", FOUR_VERTEX_TREE_DOC)
     g = graph_from_json(FOUR_VERTEX_TREE_DOC)
     rep = random_representation(g, dims, complement_dim=1, seed=seed)
     assert rep.dim == dim
     rpath = write_json(tmp_path / "rep.json", rep_to_json(rep))
-    code, strict, _ = run_json(capsys, "align", rpath, "--graph", gpath)
-    assert code == 0
-    code, out, err = run_json(capsys, "align", rpath, "--graph", gpath, "--phase-slack")
-    assert code == 0 and err == ""
-    assert out == strict
+    code, out, err = run_json(capsys, "align", rpath, "--graph", gpath)
+    assert code == 0 and err == "" and out["passed"] is True
 
 
-ALIGN_FILES = ("system.json", "unitary.txt", "report.json")
-
-
-def test_align_matches_blocks_once_unless_phase_slack(capsys, tmp_path, monkeypatch):
-    """Without --phase-slack the certificate is built from the check's own
-    block matches; with it, extraction matches strictly a second time. The
-    files are the same bytes either way, and those the public functions give."""
+def test_align_matches_blocks_once(capsys, tmp_path, monkeypatch):
+    """The certificate is built from the check's own block matches, and the
+    files are the bytes the public functions give."""
     gpath = write_json(tmp_path / "g.json", FOUR_VERTEX_TREE_DOC)
     g = graph_from_json(FOUR_VERTEX_TREE_DOC)
     rep = random_representation(g, {"b": 3, "c": 4}, complement_dim=1, seed=1)
@@ -827,19 +839,13 @@ def test_align_matches_blocks_once_unless_phase_slack(capsys, tmp_path, monkeypa
     # cli imports the name; extract_branching_system looks it up in alignment
     monkeypatch.setattr(alignment, "_b2b_matches", spy)
     monkeypatch.setattr(cli, "_b2b_matches", spy)
-    files = {}
-    for flags, matchings in (((), 1), (("--phase-slack",), 2)):
-        calls.clear()
-        out_dir = tmp_path / f"out{len(flags)}"
-        code, _, _ = run(
-            capsys, "align", rpath, "--graph", gpath, "--out-dir", str(out_dir), *flags
-        )
-        assert code == 0 and len(calls) == matchings
-        files[flags] = [(out_dir / name).read_bytes() for name in ALIGN_FILES]
-    assert files[()] == files[("--phase-slack",)]
+    out_dir = tmp_path / "out"
+    code, _, _ = run(capsys, "align", rpath, "--graph", gpath, "--out-dir", str(out_dir))
+    assert code == 0 and len(calls) == 1
     cert = verify_equivalence(rep, extract_branching_system(rep, align_bases(rep, g), g), g)
-    assert files[()][0] == cli._json_text(branching_to_json(cert.system)).encode()
-    assert files[()][1] == coordinate_export(cert.unitary).encode()
+    system = cli._json_text(branching_to_json(cert.system))
+    assert (out_dir / "system.json").read_bytes() == system.encode()
+    assert (out_dir / "unitary.txt").read_bytes() == coordinate_export(cert.unitary).encode()
 
 
 def test_align_residual_tolerance_can_force_failure(capsys, tmp_path):

@@ -95,8 +95,6 @@ def test_to_matrix_errors():
     fam = induce(synthesize(g, {"v": 1}), g)
     with pytest.raises(OperatorError, match="unknown generator"):
         to_matrix(fam, "nope")
-    with pytest.raises(OperatorError, match="exceeds max_size"):
-        to_matrix(fam, "e", max_size=1)
 
     clash = graph_from_json(
         {"vertices": ["x", "w"], "edges": [{"id": "x", "src": "w", "rng": "w"}]}
