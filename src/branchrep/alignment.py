@@ -79,12 +79,26 @@ class BasisAssignment:
     ``global_basis`` holds the basis vectors as columns. ``vertex_bases``
     and ``edge_bases`` give, per vertex/edge, the tuple of column indices
     whose vectors span that vertex's block (resp. that edge's image block
-    inside its source vertex).
+    inside its source vertex). The order of ``edge_bases[e]`` is the
+    bijection f_e: S_e must carry column ``vertex_bases[rng(e)][k]`` onto
+    column ``edge_bases[e][k]``. Every index must be an int in
+    0..N-1, N being the number of columns; else AlignmentError.
     """
 
     global_basis: np.ndarray
     vertex_bases: dict[str, tuple[int, ...]]
     edge_bases: dict[str, tuple[int, ...]]
+
+    def __post_init__(self):
+        n = self.global_basis.shape[1]
+        for label, bases in (("vertex", self.vertex_bases), ("edge", self.edge_bases)):
+            for key, columns in bases.items():
+                for i in columns:
+                    if type(i) is not int or not 0 <= i < n:
+                        raise AlignmentError(
+                            f"{label} '{key}' names column {i!r}, which is not "
+                            f"an int in 0..{n - 1}"
+                        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -711,17 +725,30 @@ def align_bases(
 # -- the block-to-block condition and extraction ------------------------------
 
 
-def _b2b_matches(
+# a non-finite entry gives a NaN residual, which fails its item; numpy is
+# kept from also warning about it
+@np.errstate(invalid="ignore", over="ignore")
+def check_b2b(
     rep: ConcreteRepresentation,
     ba: BasisAssignment,
     g: DirectedGraph,
-    tol: float,
-) -> tuple[Report, dict[str, dict[int, int]]]:
+    tols: Tolerances = Tolerances(),
+) -> Report:
+    """Per-edge check that S_e carries its range vertex's block onto its own
+    block along the bijection the assignment names.
+
+    Basis vector ``vertex_bases[rng(e)][k]`` must go to basis vector
+    ``edge_bases[e][k]`` itself, within ``tols.b2b`` in norm: the match is
+    strict and positional, as in a branching system, so neither a phase
+    multiple nor another vector of the block will do. Each item is named by
+    its edge; a failure's witness carries the first domain basis vector
+    whose residual is not within the tolerance (a NaN fails), and that
+    residual.
+    """
     items: list[CheckItem] = []
-    matches: dict[str, dict[int, int]] = {}
     for e in g.edges:
-        dom = ba.vertex_bases[e.rng]
-        tgt = ba.edge_bases[e.id]
+        dom = list(ba.vertex_bases[e.rng])
+        tgt = list(ba.edge_bases[e.id])
         if len(dom) != len(tgt):
             items.append(
                 CheckItem(
@@ -731,53 +758,16 @@ def _b2b_matches(
                 )
             )
             continue
-        images = rep.edge_matrices[e.id] @ ba.global_basis[:, list(dom)]
-        targets = ba.global_basis[:, list(tgt)]
-        used: set[int] = set()
-        mapping: dict[int, int] = {}
-        witness = None
-        for k in range(len(dom)):
-            img = images[:, k]
-            best = None
-            best_resid = np.inf
-            for t in range(len(tgt)):
-                if t in used:
-                    continue
-                resid = float(np.linalg.norm(img - targets[:, t]))
-                if resid < best_resid:
-                    best, best_resid = t, resid
-            if not best_resid <= tol:
-                witness = {
-                    "edge": e.id,
-                    "domainIndex": dom[k],
-                    "bestResidual": None if best is None else best_resid,
-                }
-                break
-            used.add(best)
-            mapping[dom[k]] = tgt[best]
-        if witness is None:
-            matches[e.id] = mapping
-            items.append(CheckItem(e.id, PASS, None))
-        else:
+        images = rep.edge_matrices[e.id] @ ba.global_basis[:, dom]
+        residuals = np.linalg.norm(images - ba.global_basis[:, tgt], axis=0)
+        misses = ~(residuals <= tols.b2b)
+        if misses.any():
+            k = int(misses.argmax())
+            witness = {"edge": e.id, "domainIndex": dom[k], "residual": float(residuals[k])}
             items.append(CheckItem(e.id, FAIL, witness))
-    return Report(tuple(items)), matches
-
-
-def check_b2b(
-    rep: ConcreteRepresentation,
-    ba: BasisAssignment,
-    g: DirectedGraph,
-    tols: Tolerances = Tolerances(),
-) -> Report:
-    """Per-edge check that the edge operator maps block onto block, bijectively.
-
-    The match is strict, as in a branching system: each image must lie within
-    ``tols.b2b`` of a target basis vector itself, not of a phase multiple.
-    Each item is named by its edge; a failure's witness carries the first
-    domain basis vector whose image misses every unmatched target vector.
-    """
-    report, _ = _b2b_matches(rep, ba, g, tols.b2b)
-    return report
+        else:
+            items.append(CheckItem(e.id, PASS, None))
+    return Report(tuple(items))
 
 
 def extract_branching_system(
@@ -790,32 +780,36 @@ def extract_branching_system(
 
     The universe is the basis-column index set {0..N-1}; domain sets come
     from the vertex blocks, range sets from the edge blocks, and each edge's
-    bijection from the block-to-block matching. The returned unitary sends
-    the k-th global basis vector to the k-th standard coordinate vector.
-    Residuals start empty; ``verify_equivalence`` fills them.
+    bijection f_e pairs ``vertex_bases[rng(e)]`` with ``edge_bases[e]``
+    position by position, once ``check_b2b`` passes (else AlignmentError).
+    The returned unitary sends the k-th global basis vector to the k-th
+    standard coordinate vector. Residuals start empty;
+    ``verify_equivalence`` fills them.
     """
-    report, matches = _b2b_matches(rep, ba, g, tols.b2b)
+    report = check_b2b(rep, ba, g, tols)
     if not report.passed:
         bad = report.failures()[0]
         raise AlignmentError(
             f"block-to-block condition fails at edge '{bad.item}': {bad.witness}"
         )
-    return _certificate(rep, ba, g, matches)
+    return _certificate(rep, ba, g)
 
 
 def _certificate(
     rep: ConcreteRepresentation,
     ba: BasisAssignment,
     g: DirectedGraph,
-    matches: dict[str, dict[int, int]],
 ) -> EquivalenceCertificate:
-    """The certificate ``extract_branching_system`` builds from the matches
-    of a passing ``_b2b_matches``."""
+    """The certificate ``extract_branching_system`` builds once ``check_b2b``
+    has passed on the same assignment."""
     system = DiscreteBranchingSystem(
         universe=tuple(range(rep.dim)),
         range_sets={e.id: frozenset(ba.edge_bases[e.id]) for e in g.edges},
         domain_sets={v: frozenset(ba.vertex_bases[v]) for v in g.vertices},
-        edge_maps=matches,
+        edge_maps={
+            e.id: dict(zip(ba.vertex_bases[e.rng], ba.edge_bases[e.id]))
+            for e in g.edges
+        },
     )
     system_report = validate(system, g)
     if not system_report.passed:

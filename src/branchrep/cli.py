@@ -27,10 +27,10 @@ from .alignment import (
     AlignmentError,
     NotApplicableError,
     RepresentationError,
-    _b2b_matches,
     _certificate,
     _construction_order,
     align_bases,
+    check_b2b,
     check_representation,
     rep_from_json,
     verify_equivalence,
@@ -350,14 +350,14 @@ def cmd_align(args: argparse.Namespace) -> int:
 
     try:
         ba = align_bases(rep, g, tols)
-        b2b, matches = _b2b_matches(rep, ba, g, tols.b2b)
+        b2b = check_b2b(rep, ba, g, tols)
         if not b2b.passed:
             out = {"seed": args.seed, "b2b": b2b.to_json(), "passed": False}
             _emit(out, args)
             bad = b2b.failures()[0]
             print(f"check failed: edge '{bad.item}': {bad.witness}", file=sys.stderr)
             return 1
-        cert = verify_equivalence(rep, _certificate(rep, ba, g, matches), g, tols)
+        cert = verify_equivalence(rep, _certificate(rep, ba, g), g, tols)
     except AlignmentError as err:
         _emit({"seed": args.seed, "error": str(err), "passed": False}, args)
         print(f"check failed: {err}", file=sys.stderr)

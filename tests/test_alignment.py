@@ -496,7 +496,7 @@ def test_b2b_catches_block_rotation():
     bad = report.item("e2")
     assert bad.status == "fail"
     assert bad.witness["edge"] == "e2"
-    assert bad.witness["bestResidual"] > 0.1
+    assert bad.witness["residual"] > 0.1
     with pytest.raises(AlignmentError, match="block-to-block condition fails"):
         extract_branching_system(mutated, ba, g)
 
@@ -507,6 +507,59 @@ def test_b2b_refuses_a_pure_phase():
     ba = align_bases(rep, g)
     mutated = twisted_edge(rep, ba, g, "e1", phase_only=True)
     assert not check_b2b(mutated, ba, g).passed
+
+
+def test_b2b_refuses_a_permuted_edge_block():
+    # the order of edge_bases is the bijection f_e, so swapping two targets
+    # sends each domain vector to the wrong one of two orthonormal vectors
+    g = path_graph(3)
+    rep = random_representation(g, {"v3": 2}, seed=14)
+    ba = align_bases(rep, g)
+    assert check_b2b(rep, ba, g).passed
+    a, b = ba.edge_bases["e2"]
+    permuted = dataclasses.replace(ba, edge_bases={**ba.edge_bases, "e2": (b, a)})
+    report = check_b2b(rep, permuted, g)
+    assert report.item("e1").status == "pass"
+    bad = report.item("e2")
+    assert bad.status == "fail"
+    assert bad.witness["domainIndex"] == ba.vertex_bases["v3"][0]
+    assert bad.witness["residual"] == pytest.approx(np.sqrt(2))
+    with pytest.raises(AlignmentError, match="block-to-block condition fails"):
+        extract_branching_system(rep, permuted, g)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_b2b_fails_a_non_finite_entry(value):
+    # the residual is NaN either way, and numpy's warning about inf is kept quiet
+    g = path_graph(3)
+    rep = random_representation(g, {"v3": 2}, seed=5)
+    ba = align_bases(rep, g)
+    mutated = nan_in_first_entry(rep, "e2")
+    mutated.edge_matrices["e2"][0, 0] = value  # the helper copied this matrix
+    bad = check_b2b(mutated, ba, g).item("e2")
+    assert bad.status == "fail"
+    assert bad.witness["domainIndex"] == ba.vertex_bases["v3"][0]
+    assert np.isnan(bad.witness["residual"])
+    with pytest.raises(AlignmentError, match="block-to-block condition fails"):
+        extract_branching_system(mutated, ba, g)
+
+
+@pytest.mark.parametrize(
+    "field, key, columns",
+    [
+        ("edge_bases", "e", (-2,)),
+        ("edge_bases", "e", (2,)),
+        ("edge_bases", "e", (np.int64(0),)),
+        ("vertex_bases", "v", (1.0,)),
+    ],
+)
+def test_basis_assignment_refuses_columns_that_do_not_exist(field, key, columns):
+    # numpy would wrap -2 to column 0 and let check_b2b pass
+    g = single_edge_graph()
+    ba = align_bases(random_representation(g, {"v": 1}, axis_aligned=True), g)
+    label = field.split("_")[0]
+    with pytest.raises(AlignmentError, match=f"{label} '{key}' names column"):
+        dataclasses.replace(ba, **{field: {**getattr(ba, field), key: columns}})
 
 
 def test_swapped_unitary_rows_leave_a_visible_residual():

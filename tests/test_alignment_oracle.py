@@ -203,10 +203,11 @@ def test_corrupted_input_fails_as_the_original_fails(case, faults, seed):
     st.sampled_from([1e-10, 1e-6, 1e-3]),
 )
 def test_own_basis_matches_block_to_block_positionally(case, corrupt, faults, seed, rep_tol):
-    """An emitter's block is the images S_e·B_rng(e) themselves, so on the
-    basis ``align_bases`` returns the strict block-to-block matching passes
-    and pairs each domain vector with the target in its own position,
-    whenever the relation check passes and the basis is built."""
+    """An emitter's block is the images S_e·B_rng(e) themselves, in the
+    order of ``edge_bases``, so on the basis ``align_bases`` returns the
+    strict positional block-to-block check passes and the system read off
+    it validates, whenever the relation check passes and the basis is
+    built."""
     g, rep = case
     if corrupt:
         rep = _corrupt(rep, g, np.random.default_rng(seed), faults)
@@ -217,10 +218,8 @@ def test_own_basis_matches_block_to_block_positionally(case, corrupt, faults, se
         ba = align_bases(rep, g, tols)
     except AlignmentError:
         return
-    report, matches = alignment._b2b_matches(rep, ba, g, tols.b2b)
-    assert report.passed
-    for e in g.edges:
-        assert matches[e.id] == dict(zip(ba.vertex_bases[e.rng], ba.edge_bases[e.id]))
+    assert check_b2b(rep, ba, g, tols).passed
+    assert validate(extract_branching_system(rep, ba, g, tols).system, g).passed
 
 
 def test_align_bases_does_not_compute_vertex_roles(monkeypatch):

@@ -823,22 +823,22 @@ def test_align_accepts_honest_tree(capsys, tmp_path, dims, seed, dim):
 
 
 def test_align_matches_blocks_once(capsys, tmp_path, monkeypatch):
-    """The certificate is built from the check's own block matches, and the
-    files are the bytes the public functions give."""
+    """The block-to-block check runs once, and the files are the bytes the
+    public functions give."""
     gpath = write_json(tmp_path / "g.json", FOUR_VERTEX_TREE_DOC)
     g = graph_from_json(FOUR_VERTEX_TREE_DOC)
     rep = random_representation(g, {"b": 3, "c": 4}, complement_dim=1, seed=1)
     rpath = write_json(tmp_path / "rep.json", rep_to_json(rep))
     calls = []
-    b2b_matches = alignment._b2b_matches
+    check_b2b = alignment.check_b2b
 
     def spy(*args, **kwargs):
         calls.append(args)
-        return b2b_matches(*args, **kwargs)
+        return check_b2b(*args, **kwargs)
 
     # cli imports the name; extract_branching_system looks it up in alignment
-    monkeypatch.setattr(alignment, "_b2b_matches", spy)
-    monkeypatch.setattr(cli, "_b2b_matches", spy)
+    monkeypatch.setattr(alignment, "check_b2b", spy)
+    monkeypatch.setattr(cli, "check_b2b", spy)
     out_dir = tmp_path / "out"
     code, _, _ = run(capsys, "align", rpath, "--graph", gpath, "--out-dir", str(out_dir))
     assert code == 0 and len(calls) == 1
