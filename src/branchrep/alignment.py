@@ -470,12 +470,19 @@ def random_representation(
     """A representation of the graph relations, honest by construction.
 
     Starts from the canonical model of the synthesized branching system,
-    twists each edge operator by a Haar unitary of its range vertex's block
-    (one per edge, in document order, applied to that block's columns only),
-    then conjugates everything by one global Haar unitary. With
+    twists each edge operator S_e by a Haar unitary H_e of its range
+    vertex's block (one per edge, drawn in document order), then conjugates
+    everything by one global Haar unitary G, drawn last. With
     ``axis_aligned`` no randomness is used and the matrices are exactly the
     canonical 0/1 ones. The result is not checked here; callers that need a
     report run ``check_representation`` on it.
+
+    No canonical N×N matrix is formed when twisting. Each canonical operator
+    is a weighted partial permutation, so a vertex projection's conjugate is
+    one gathered product (``_conjugate`` with U = G*), and a twisted edge's is
+    (G[:, js]·diag(a)·H_e)·G*[block, :], ``block`` being the sorted domain
+    set of rng(e) and S_e sending its x-th index to js[x] with amplitude
+    a[x]: O(N²·k) per generator instead of two N×N×N products.
     """
     bs = synthesize(g, sink_dims, slack=complement_dim)
     fam = induce(bs, g)
@@ -483,23 +490,25 @@ def random_representation(
     if n <= 0:
         # the same error ConcreteRepresentation raises, before any Haar draw
         raise RepresentationError(f"dim must be positive, got {n}")
-    edge_mats = {
-        e.id: wpi_matrix(fam.edge_ops[e.id], n).astype(complex) for e in g.edges
-    }
-    vertex_mats = {
-        v: wpi_matrix(fam.vertex_projs[v].as_partial_isometry(), n).astype(complex)
-        for v in g.vertices
-    }
-    if not axis_aligned:
+    projs = {v: fam.vertex_projs[v].as_partial_isometry() for v in g.vertices}
+    if axis_aligned:
+        edge_mats = {
+            e.id: wpi_matrix(fam.edge_ops[e.id], n).astype(complex) for e in g.edges
+        }
+        vertex_mats = {v: wpi_matrix(t, n).astype(complex) for v, t in projs.items()}
+    else:
         rng = np.random.default_rng(seed)
-        for e in g.edges:
-            block = sorted(bs.domain_sets[e.rng])
-            m = edge_mats[e.id]
-            m[:, block] = m[:, block] @ haar_unitary(len(block), rng)
+        blocks = {e.id: sorted(bs.domain_sets[e.rng]) for e in g.edges}
+        twists = {k: haar_unitary(len(block), rng) for k, block in blocks.items()}
         gmat = haar_unitary(n, rng)
         gstar = gmat.conj().T
-        edge_mats = {k: gmat @ m @ gstar for k, m in edge_mats.items()}
-        vertex_mats = {k: gmat @ m @ gstar for k, m in vertex_mats.items()}
+        edge_mats = {}
+        for k, block in blocks.items():
+            op = fam.edge_ops[k]
+            js = [op.mapping[x] for x in block]
+            amps = np.array([op.amplitude[x] for x in block], dtype=float)
+            edge_mats[k] = ((gmat[:, js] * amps) @ twists[k]) @ gstar[block, :]
+        vertex_mats = {v: _conjugate(t, gstar, gmat) for v, t in projs.items()}
     return ConcreteRepresentation(
         dim=n,
         complement_dim=complement_dim,
@@ -522,16 +531,21 @@ def _leftover(rep: ConcreteRepresentation, g: DirectedGraph) -> np.ndarray:
 # a product that overflows leaves a non-finite bound, which proves nothing;
 # the SVD then decides, so numpy is kept from warning about it
 @np.errstate(invalid="ignore", over="ignore")
-def _proved_rank(m: np.ndarray, lo: float, hi: float) -> Optional[int]:
-    """The rank of m when no singular value can lie in (lo, hi), else None.
+def _proved_rank(m: np.ndarray, lo: float, hi: float) -> Optional[tuple[int, np.ndarray]]:
+    """The rank of m and an orthonormal basis of its range, when no singular
+    value can lie in (lo, hi); else None.
 
     With k = round(Re tr m) and Q the Q factor of m·Ω (Ω the range finders'
     fixed-seed Gaussian with k columns), bounds h ≥ ‖Q*Q − I‖₂ and
     r ≥ ‖m − QQ*‖₂, formed as ``_pair_screen`` forms them, put k singular
     values of m at or above 1 − h − r and the other N − k at or below r
     (Weyl's inequality). So r < lo and, for k > 0, 1 − h − r > hi prove
-    that the rank is k and that no singular value lies in the band. None
-    when they do not, or when the trace lies outside (−0.5, N + 0.5).
+    that the rank is k and that no singular value lies in the band; then Q
+    is returned with k. Its columns are orthonormal to within h, and its
+    range is m's to within r: a randomized range finder (Halko, Martinsson
+    & Tropp, SIAM Review 53(2), 2011) with a certificate. None when the
+    bounds do not prove the rank, or when the trace lies outside
+    (−0.5, N + 0.5) or is not finite.
     """
     n = len(m)
     trace = np.trace(m).real
@@ -549,29 +563,40 @@ def _proved_rank(m: np.ndarray, lo: float, hi: float) -> Optional[int]:
     # the bounds' own arithmetic, as in _pair_screen
     inflate = 1 + _gamma(2 * n * n + 64)
     h, r = h * inflate, r * inflate
-    return k if r < lo and (k == 0 or 1 - h - r > hi) else None
+    return (k, q) if r < lo and (k == 0 or 1 - h - r > hi) else None
 
 
 def _svd_rank(
     m: np.ndarray, rank_tol: float, compute_uv: bool
 ) -> tuple[int, Optional[np.ndarray]]:
-    """Numerical rank of m, and its left singular vectors when ``compute_uv``.
+    """Numerical rank of m, and an orthonormal basis of its range when
+    ``compute_uv``.
 
     Singular values above ``rank_tol`` count. One inside the open band
     (lo, hi) = (rank_tol·1e-2, rank_tol·1e2) is neither clearly zero nor
     clearly not, so the rank is refused with DegenerateRankError rather than
     guessed; so is the rank of a matrix with a non-finite entry or on which
-    the SVD fails. Without ``compute_uv`` the rank is first proved without
-    an SVD (``_proved_rank``); only when that fails does the SVD decide, as
-    it would have without the proof.
+    the SVD fails. The rank, and the basis, come from ``_proved_rank`` where
+    it proves them (it proves nothing on a non-finite entry); only when it
+    does not does ``_svd_fallback`` decide, as it would have without the
+    proof.
     """
+    proved = _proved_rank(m, rank_tol * 1e-2, rank_tol * 1e2)
+    if proved is None:
+        return _svd_fallback(m, rank_tol, compute_uv)
+    rank, q = proved
+    return rank, q if compute_uv else None
+
+
+def _svd_fallback(
+    m: np.ndarray, rank_tol: float, compute_uv: bool
+) -> tuple[int, Optional[np.ndarray]]:
+    """``_svd_rank``'s answer from an SVD alone: values only, or with the
+    left singular vectors of the counted singular values when
+    ``compute_uv``."""
     if not np.isfinite(m).all():
         raise DegenerateRankError("matrix has non-finite entries; rank is undefined")
     lo, hi = rank_tol * 1e-2, rank_tol * 1e2
-    if not compute_uv:
-        rank = _proved_rank(m, lo, hi)
-        if rank is not None:
-            return rank, None
     try:
         if compute_uv:
             u, sv, _ = np.linalg.svd(m)
@@ -585,16 +610,14 @@ def _svd_rank(
             f"singular value(s) {shady} fall between {lo} and {hi}; "
             "rank is numerically ambiguous"
         )
-    return int((sv > rank_tol).sum()), u
+    rank = int((sv > rank_tol).sum())
+    # a copy, so that the basis does not keep the whole N×N factor alive
+    return rank, None if u is None else u[:, :rank].copy()
 
 
 def _svd_basis(m: np.ndarray, rank_tol: float) -> np.ndarray:
-    """Orthonormal basis, as columns, of the range of m.
-
-    A copy, so that the basis does not keep the whole N×N factor alive.
-    """
-    rank, u = _svd_rank(m, rank_tol, compute_uv=True)
-    return u[:, :rank].copy()
+    """Orthonormal basis, as columns, of the range of m (see ``_svd_rank``)."""
+    return _svd_rank(m, rank_tol, compute_uv=True)[1]
 
 
 # -- the sink-first basis construction ---------------------------------------
@@ -622,19 +645,22 @@ def align_bases(
 
     The construction applies exactly to graphs with no directed cycle, the
     graphs ``sink_first_order`` can order; NotApplicableError says a graph
-    has one, before any SVD. Every vertex's projection is then read, in
-    document order: a sink or an isolated vertex keeps the free basis of its
-    range, from a full SVD. An emitter keeps only the rank, which
-    ``_svd_rank`` proves without an SVD where it can, else reads off a
-    values-only SVD; when that refuses the rank, the full SVD is taken and
-    decides, so a refusal quotes the singular values a full SVD gives.
-    Vertices are settled in that order: an emitter's block is
-    S_e·B_rng(e) for its out-edges e, side by side in document order, which
-    must have that rank. Isolated vertices keep their free basis unchecked,
-    and the complement gets one too, from a full SVD. Singular values are
-    cut at ``tols.rank``; assembled blocks and the global basis must be
-    orthonormal to within ``tols.rep``, and each block must lie in its
-    projection's range to within ``tols.b2b``.
+    has one, before any rank is read. Every vertex's projection is then
+    read, in document order, through ``_svd_rank``: its rank, and for a sink
+    or an isolated vertex a free basis of its range, come from the rank
+    proof's thin QR where ``_proved_rank`` proves them, as it does on
+    honest input of moderate rank. Where it fails, an SVD decides: a full
+    one for a sink or an isolated vertex, whose basis is kept, and a
+    values-only one for an emitter, which keeps only the rank; when that
+    refuses the rank, the full SVD is taken and decides, so a refusal
+    quotes the singular values a full SVD gives. Vertices are settled in
+    the construction order:
+    an emitter's block is S_e·B_rng(e) for its out-edges e, side by side in
+    document order, which must have that rank. Isolated vertices keep their
+    free basis unchecked, and the complement gets one the same way as a
+    sink. Singular values are cut at ``tols.rank``; assembled blocks and the
+    global basis must be orthonormal to within ``tols.rep``, and each block
+    must lie in its projection's range to within ``tols.b2b``.
     """
     order = _construction_order(g)
 
@@ -644,8 +670,8 @@ def align_bases(
         if g.out_edges(v):
             try:
                 free[v], _ = _svd_rank(m, tols.rank, compute_uv=False)
-            except DegenerateRankError:
-                free[v], _ = _svd_rank(m, tols.rank, compute_uv=True)
+            except DegenerateRankError:  # the full SVD words a refusal
+                free[v], _ = _svd_fallback(m, tols.rank, compute_uv=True)
         else:
             free[v] = _svd_basis(m, tols.rank)
     vertex_vecs: dict[str, np.ndarray] = {}

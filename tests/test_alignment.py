@@ -81,17 +81,33 @@ def twisted_edge(rep, ba, g, edge_id, *, phase_only=False):
 # -- exact behaviour on axis-aligned models ------------------------------------
 
 
+def householder_bound(n):
+    """How far from exact an axis-aligned alignment of dimension n may come
+    out: per entry of B*·B − I, B the global basis, and per residual.
+
+    The input is exactly canonical, so every basis vector is a column of a
+    Householder QR's Q factor of an n×k matrix, k ≤ n (a sink's block or the
+    complement, from the rank proof's range finder), or an exact copy of one
+    (an emitter's block, through 0/1 edge matrices). Higham (*Accuracy and
+    Stability of Numerical Algorithms*, 2nd ed., Thm 19.4) puts such a Q
+    within √k·γ̃(n·k) of orthonormal columns, γ̃ being γ up to a small
+    constant; each residual adds the γ(n) of the product that forms it.
+    n·γ(n²) covers √k·γ(n·k) + γ(n), leaving the constant a factor √n.
+    """
+    return n * alignment._gamma(n * n)
+
+
 def test_axis_aligned_single_edge_is_exactly_canonical():
     g = single_edge_graph()
     rep = random_representation(g, {"v": 1}, axis_aligned=True)
     assert np.array_equal(to_matrix(induce(synthesize(g, {"v": 1}), g), "e").astype(complex), rep.edge_matrices["e"])
     ba, cert = run_pipeline(g, rep)
-    assert np.array_equal(ba.global_basis, np.eye(2, dtype=complex))
-    assert np.array_equal(cert.unitary, np.eye(2, dtype=complex))
-    assert cert.max_residual == 0.0
     assert cert.system == synthesize(g, {"v": 1})
     assert ba.vertex_bases == {"u": (0,), "v": (1,)}
     assert ba.edge_bases == {"e": (0,)}
+    bound = householder_bound(rep.dim)
+    assert np.abs(cert.unitary @ cert.unitary.conj().T - np.eye(2)).max() <= bound
+    assert cert.max_residual <= bound
 
 
 def test_axis_aligned_star_recovers_canonical_system():
@@ -99,15 +115,13 @@ def test_axis_aligned_star_recovers_canonical_system():
     dims = {"l1": 1, "l2": 2, "l3": 1}
     rep = random_representation(g, dims, axis_aligned=True)
     ba, cert = run_pipeline(g, rep)
-    b = ba.global_basis
-    # every basis vector is a standard coordinate vector (possibly permuted
-    # inside blocks where the projection alone cannot order them)
-    assert np.array_equal(b @ b.conj().T, np.eye(rep.dim, dtype=complex))
-    assert set(np.unique(np.abs(b))) == {0.0, 1.0}
-    assert cert.max_residual == 0.0
     assert cert.system == synthesize(g, dims)
     assert ba.vertex_bases == {"c": (0, 1, 2, 3), "l1": (4,), "l2": (5, 6), "l3": (7,)}
     assert ba.edge_bases == {"e1": (0,), "e2": (1, 2), "e3": (3,)}
+    b = ba.global_basis
+    bound = householder_bound(rep.dim)
+    assert np.abs(b.conj().T @ b - np.eye(rep.dim)).max() <= bound
+    assert cert.max_residual <= bound
 
 
 # -- randomized end-to-end runs --------------------------------------------------
@@ -649,7 +663,13 @@ def test_random_representation_passes_check_representation(args):
 
 def padded_twist_representation(g, sink_dims, complement_dim, seed, axis_aligned):
     """``random_representation`` as first written: each edge twist is padded
-    with zeros to an N×N matrix and applied by a full product."""
+    with zeros to an N×N matrix and applied by a full product, then every
+    canonical matrix is conjugated by two full products.
+
+    Returns the edge and vertex matrices, each with its majorant
+    |G|·|M|·|G*| (M the twisted canonical matrix, G the global unitary; None
+    when axis-aligned).
+    """
     bs = synthesize(g, sink_dims, slack=complement_dim)
     fam = induce(bs, g)
     n = len(bs.universe)
@@ -660,37 +680,58 @@ def padded_twist_representation(g, sink_dims, complement_dim, seed, axis_aligned
         v: wpi_matrix(fam.vertex_projs[v].as_partial_isometry(), n).astype(complex)
         for v in g.vertices
     }
-    if not axis_aligned:
-        rng = np.random.default_rng(seed)
-        for e in g.edges:
-            block = sorted(bs.domain_sets[e.rng])
-            w = haar_unitary(len(block), rng)
-            w_full = np.zeros((n, n), dtype=complex)
-            w_full[np.ix_(block, block)] = w
-            edge_mats[e.id] = edge_mats[e.id] @ w_full
-        gmat = haar_unitary(n, rng)
-        gstar = gmat.conj().T
-        edge_mats = {k: gmat @ m @ gstar for k, m in edge_mats.items()}
-        vertex_mats = {k: gmat @ m @ gstar for k, m in vertex_mats.items()}
-    return edge_mats, vertex_mats
+    if axis_aligned:
+        return [(mats, dict.fromkeys(mats)) for mats in (edge_mats, vertex_mats)]
+    rng = np.random.default_rng(seed)
+    for e in g.edges:
+        block = sorted(bs.domain_sets[e.rng])
+        w = haar_unitary(len(block), rng)
+        w_full = np.zeros((n, n), dtype=complex)
+        w_full[np.ix_(block, block)] = w
+        edge_mats[e.id] = edge_mats[e.id] @ w_full
+    gmat = haar_unitary(n, rng)
+    gstar = gmat.conj().T
+    return [
+        (
+            {k: gmat @ m @ gstar for k, m in mats.items()},
+            {k: np.abs(gmat) @ np.abs(m) @ np.abs(gstar) for k, m in mats.items()},
+        )
+        for mats in (edge_mats, vertex_mats)
+    ]
 
 
 @settings(max_examples=60, deadline=None)
 @given(representation_args)
-def test_block_twist_is_bit_identical_to_padded_twist(args):
+def test_gathered_twist_is_within_rounding_of_padded_twist(args):
+    """The same Haar draws, in the same order, as the padded dense twist:
+    each entry within the two computations' rounding of each other, and the
+    same bits when axis-aligned.
+
+    Either way of forming G·M·G* is three products of inner dimension at
+    most N, or fewer (M·W for a twisted edge M = T·W, T having one nonzero
+    per column); so each is within γ(3N + 6)·|G|·|T|·|W|·|G*| of the exact
+    value, entry by entry (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, 2nd ed., §3.5, with γ_a + γ_b + γ_a·γ_b ≤ γ_{a+b}). The
+    majorant is itself a sum of nonnegative products, formed to within
+    γ(3N + 6) of its exact value, and gradual underflow adds at most the
+    smallest normal float per product term.
+    """
     (g, dims), complement_dim, seed, axis_aligned = args
     rep = random_representation(g, dims, complement_dim, seed, axis_aligned)
-    edge_mats, vertex_mats = padded_twist_representation(
-        g, dims, complement_dim, seed, axis_aligned
-    )
-    for mine, reference in (
-        (rep.edge_matrices, edge_mats),
-        (rep.vertex_matrices, vertex_mats),
+    n = rep.dim
+    gamma = alignment._gamma(3 * n + 6)
+    for mine, (reference, majorant) in zip(
+        (rep.edge_matrices, rep.vertex_matrices),
+        padded_twist_representation(g, dims, complement_dim, seed, axis_aligned),
     ):
         assert list(mine) == list(reference)
         for key, m in mine.items():
             assert m.dtype == reference[key].dtype
-            assert m.tobytes() == reference[key].tobytes()
+            if axis_aligned:
+                assert m.tobytes() == reference[key].tobytes()
+                continue
+            bound = 2 * gamma * (1 + gamma) * majorant[key] + 3 * n * np.finfo(float).tiny
+            assert np.all(np.abs(m - reference[key]) <= bound), key
 
 
 @pytest.mark.parametrize("axis_aligned", [False, True])

@@ -250,22 +250,72 @@ def _svd_calls(monkeypatch, rep):
     return calls
 
 
-def test_only_sinks_isolated_vertices_and_the_complement_get_singular_vectors(monkeypatch):
-    """An emitter keeps only its rank, which on honest input ``_svd_rank``
-    proves without any SVD."""
-    rng = np.random.default_rng(4)
+def _svd_case(seed):
+    """A 9-vertex tree with two isolated vertices and a complement of 1."""
+    rng = np.random.default_rng(seed)
     doc = genutil.tree_doc(rng, 9)
     doc["vertices"] += ["iso0", "iso1"]
     g = graph_from_json(doc)
-    rep = random_representation(g, genutil.random_sink_dims(rng, g, 3), 1, 6)
+    return g, random_representation(g, genutil.random_sink_dims(rng, g, 3), 1, 6)
+
+
+def test_honest_input_aligns_with_no_svd(monkeypatch):
+    """Every vertex's rank, and every sink's, isolated vertex's and the
+    complement's basis, comes from the rank proof's thin QR: on honest
+    input ``align_bases`` asks numpy for no SVD at all."""
+    g, rep = _svd_case(4)
     calls = _svd_calls(monkeypatch, rep)
-    align_bases(rep, g)
+    ba = align_bases(rep, g)
     emitters = [v for v in g.vertices if g.out_edges(v)]
     assert len(emitters) >= 3 and set(g.sinks()) - {"iso0", "iso1"}
-    assert sorted(v for v, uv in calls if uv) == sorted(
-        [v for v in g.vertices if not g.out_edges(v)] + ["complement"]
+    assert calls == []
+    assert check_b2b(rep, ba, g).passed
+
+
+def test_a_sink_whose_proof_fails_aligns_through_the_svd(monkeypatch):
+    """(1 + δ)·P_v, with δ = 0.9·lo under the refuse band (lo, hi) and P_v
+    of rank k ≥ 2, has every singular value clear of the band, and so has
+    the complement, which gains δ·P_v; but ‖δ·P_v‖_F = δ·√k > lo is too
+    much for either proof. The full SVDs give the bases, and the index maps
+    and the extracted system are those of the honest input."""
+    g, rep = _svd_case(4)
+    lo, hi = Tolerances().rank * 1e-2, Tolerances().rank * 1e2
+    sinks = [v for v in g.sinks() if g.incident(v)]
+    v = max(sinks, key=lambda v: np.trace(rep.vertex_matrices[v]).real)
+    assert np.trace(rep.vertex_matrices[v]).real > 1.5
+    m = rep.vertex_matrices[v] * (1 + 0.9 * lo)
+    bad = dataclasses.replace(rep, vertex_matrices={**rep.vertex_matrices, v: m})
+    assert alignment._proved_rank(m, lo, hi) is None
+    honest = align_bases(rep, g)
+    calls = _svd_calls(monkeypatch, bad)
+    ba = align_bases(bad, g)
+    assert calls == [(v, True), ("complement", True)]
+    assert (ba.vertex_bases, ba.edge_bases) == (honest.vertex_bases, honest.edge_bases)
+    assert check_b2b(bad, ba, g).passed
+    assert extract_branching_system(bad, ba, g).system == extract_branching_system(rep, honest, g).system
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_a_degenerate_sink_is_refused_in_the_full_svds_digits(monkeypatch, seed):
+    """A sink with a singular value inside the refuse band fails the proof,
+    and its full SVD words the refusal."""
+    g, rep = _svd_case(seed)
+    v = next(v for v in g.sinks() if g.incident(v))
+    rng = np.random.default_rng(seed)
+    w = np.linalg.svd(alignment._leftover(rep, g))[0][:, 0]
+    weight = Tolerances().rank * float(rng.uniform(0.1, 90))
+    m = rep.vertex_matrices[v] + weight * np.outer(w, w.conj())
+    bad = dataclasses.replace(rep, vertex_matrices={**rep.vertex_matrices, v: m})
+    lo, hi = Tolerances().rank * 1e-2, Tolerances().rank * 1e2
+    shady = [float(x) for x in np.linalg.svd(m)[1] if lo < x < hi]
+    assert len(shady) == 1
+    calls = _svd_calls(monkeypatch, bad)
+    with pytest.raises(DegenerateRankError) as err:
+        align_bases(bad, g)
+    assert str(err.value) == (
+        f"singular value(s) {shady} fall between {lo} and {hi}; rank is numerically ambiguous"
     )
-    assert [v for v, uv in calls if not uv] == []
+    assert calls[-1] == (v, True) and (v, False) not in calls
 
 
 @pytest.mark.parametrize("seed", range(4))

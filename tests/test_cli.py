@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from branchrep import (
@@ -24,6 +25,7 @@ from branchrep import (
 from branchrep import alignment, cli, structure
 from branchrep.cli import main
 from conftest import EXAMPLE_GRAPH_PATH, FIXTURES, GOLDEN, path_graph
+from test_alignment import householder_bound
 
 # the README's two-leaf graph, and a representation of it:
 # random_representation(g, {"a": 1, "b": 2}, 0, seed=7)
@@ -654,14 +656,25 @@ def test_align_recovers_canonical_system(capsys, tmp_path):
 
 
 def test_align_axis_aligned_is_exact(capsys, tmp_path):
+    """The extracted system is exactly the synthesized one; the unitary and
+    the residuals are within ``householder_bound`` of exact."""
     gpath = write_json(tmp_path / "g.json", SINGLE_EDGE_DOC)
     g = graph_from_json(SINGLE_EDGE_DOC)
     rep = random_representation(g, {"v": 1}, axis_aligned=True)
     rpath = write_json(tmp_path / "rep.json", rep_to_json(rep))
-    code, doc, _ = run_json(capsys, "align", rpath, "--graph", gpath)
+    out_dir = tmp_path / "out"
+    code, doc, _ = run_json(capsys, "align", rpath, "--graph", gpath, "--out-dir", str(out_dir))
     assert code == 0
-    assert doc["maxResidual"] == 0.0
     assert doc["system"] == branching_to_json(synthesize(g, {"v": 1}))
+    bound = householder_bound(rep.dim)
+    assert doc["maxResidual"] <= bound
+    head, *entries = (out_dir / "unitary.txt").read_text(encoding="utf-8").splitlines()
+    u = np.zeros((rep.dim, rep.dim), dtype=complex)
+    for line in entries:
+        i, j, re_, im = line.split()
+        u[int(i), int(j)] = complex(float(re_), float(im))
+    assert head.split()[:2] == [str(rep.dim)] * 2
+    assert np.abs(u @ u.conj().T - np.eye(rep.dim)).max() <= bound
 
 
 def test_align_rejects_broken_representation(capsys, tmp_path):
