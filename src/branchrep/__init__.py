@@ -1,9 +1,6 @@
 """Branching systems and basis alignment for directed-graph operator families."""
 
 from .alignment import (
-    B2B_TOL,
-    RANK_TOL,
-    REP_TOL,
     RESIDUAL_TOL,
     AlignmentError,
     BasisAssignment,
@@ -50,7 +47,6 @@ from .operators import (
     OperatorError,
     WeightedPartialIsometry,
     adjoint,
-    adjoint_weighted,
     compose,
     coordinate_export,
     identity_on,
@@ -58,7 +54,6 @@ from .operators import (
     to_matrix,
     verify_ck,
     wpi_matrix,
-    zero_operator,
 )
 from .report import FAIL, NOT_APPLICABLE, PASS, CheckItem, Report, Tolerances
 from .structure import (
@@ -71,7 +66,6 @@ from .structure import (
     check_structure,
     classify,
     component_classifications,
-    component_is_p_simple,
     extreme_vertices,
     level_decomposition,
     level_report,

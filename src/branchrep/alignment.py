@@ -27,11 +27,8 @@ from .graph import DirectedGraph, GraphError, sink_first_order
 from .operators import WeightedPartialIsometry, induce, wpi_matrix
 from .report import FAIL, PASS, CheckItem, Report, Tolerances, first_witness
 
-# the defaults as plain names, for callers that compare against one
-RANK_TOL = Tolerances.rank
-B2B_TOL = Tolerances.b2b
+# the residual default as a plain name, for callers that compare against it
 RESIDUAL_TOL = Tolerances.residual
-REP_TOL = Tolerances.rep
 
 
 class AlignmentError(ValueError):

@@ -3,14 +3,13 @@
 An operator here moves basis vectors along an injective partial map of the
 universe and scales them; edge generators built from a branching system get
 amplitude sqrt(w(x)/w(f_e(x))) on R_e and vertex projections are indicator
-diagonals. Because the squared amplitudes are ratios of weights, the relation
-checks can run over exact rationals whenever the operators came out of a
-branching system, with a float path as fallback for hand-built operators.
+diagonals. Each relation reduces to the edge maps plus amplitude_sq[x]·w(f_e(x))
+= w(x) per index, decided over exact integers whenever the operators came out
+of a branching system, with a float path as fallback for hand-built operators.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -73,10 +72,6 @@ class WeightedPartialIsometry:
         return {j: x for x, j in self.mapping.items()}
 
 
-def zero_operator() -> WeightedPartialIsometry:
-    return WeightedPartialIsometry(mapping={}, amplitude={})
-
-
 def identity_on(support: Iterable[int]) -> WeightedPartialIsometry:
     s = sorted(set(support))
     return WeightedPartialIsometry(
@@ -102,6 +97,13 @@ class GeneratorFamily:
     edge_ops: dict[str, WeightedPartialIsometry]
     vertex_projs: dict[str, DiagonalProjection]
     weights: dict[int, float]
+
+    def __post_init__(self):
+        if set(self.weights) != set(self.universe):
+            raise OperatorError("weights must be defined on exactly the universe")
+        for x, w in self.weights.items():
+            if not (w > 0 and math.isfinite(w)):
+                raise OperatorError(f"weight at index {x} must be positive and finite, got {w}")
 
 
 def induce(bs: DiscreteBranchingSystem, g: DirectedGraph) -> GeneratorFamily:
@@ -132,6 +134,12 @@ def induce(bs: DiscreteBranchingSystem, g: DirectedGraph) -> GeneratorFamily:
         edge_ops[e.id] = WeightedPartialIsometry(
             mapping=mapping, amplitude=amplitude, amplitude_sq=amplitude_sq
         )
+    # the weighted adjoint's amplitude, about sqrt(w(j)/w(x)), can overflow only
+    # where the float w(j)/w(x) does; refused after every forward amplitude
+    for op in edge_ops.values():
+        for x, j in op.mapping.items():
+            if bs.weight(j) / bs.weight(x) > sys.float_info.max:
+                _float_at(Fraction(op.amplitude[x]) / op.amplitude_sq[x], j)
 
     vertex_projs = {v: DiagonalProjection(bs.domain_sets[v]) for v in g.vertices}
     return GeneratorFamily(
@@ -181,30 +189,6 @@ def adjoint(t: WeightedPartialIsometry) -> WeightedPartialIsometry:
     amplitude_sq = None
     if t.amplitude_sq is not None:
         amplitude_sq = {j: t.amplitude_sq[x] for x, j in t.mapping.items()}
-    return WeightedPartialIsometry(mapping=mapping, amplitude=amplitude, amplitude_sq=amplitude_sq)
-
-
-def adjoint_weighted(t: WeightedPartialIsometry, weights: dict[int, float]) -> WeightedPartialIsometry:
-    """Adjoint in the weighted inner product <φ,ψ> = Σ w(x)·φ(x)·conj(ψ(x)).
-
-    If t carries x to j with amplitude a, the adjoint carries j back to x
-    with amplitude a·w(j)/w(x) — the weight ratio re-balances the pairing.
-    """
-    mapping: dict[int, int] = {}
-    amplitude: dict[int, float] = {}
-    amplitude_sq: Optional[dict[int, Fraction]] = (
-        {} if t.amplitude_sq is not None else None
-    )
-    for x, j in t.mapping.items():
-        mapping[j] = x
-        ratio = Fraction(weights[j]) / Fraction(weights[x])
-        value = _normal_float(ratio)
-        if value is not None:
-            amplitude[j] = t.amplitude[x] * value
-        else:
-            amplitude[j] = _float_at(Fraction(t.amplitude[x]) * ratio, j)
-        if amplitude_sq is not None:
-            amplitude_sq[j] = t.amplitude_sq[x] * ratio * ratio
     return WeightedPartialIsometry(mapping=mapping, amplitude=amplitude, amplitude_sq=amplitude_sq)
 
 
@@ -292,15 +276,16 @@ class CKReport(Report):
     exact: bool = True
 
 
-def _as_exact(t: WeightedPartialIsometry) -> tuple[dict[int, object], bool]:
-    """Squared amplitudes as Fractions when t carries them, else as floats."""
-    if t.amplitude_sq is not None:
-        return t.amplitude_sq, True
-    return {x: a * a for x, a in t.amplitude.items()}, False
+def _as_float(value: object) -> float:
+    """float(value), or inf for an exact value too large for a float."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf
 
 
 def _is_one(value: object, exact: bool, tol: float) -> bool:
-    return value == 1 if exact else abs(float(value) - 1.0) <= tol
+    return value == 1 if exact else abs(_as_float(value) - 1.0) <= tol
 
 
 def verify_ck(fam: GeneratorFamily, g: DirectedGraph, tols: Tolerances = Tolerances()) -> CKReport:
@@ -315,13 +300,15 @@ def verify_ck(fam: GeneratorFamily, g: DirectedGraph, tols: Tolerances = Toleran
 
     Adjoints are taken in the weighted inner product carried by the family,
     which is what makes the edge operators genuine partial isometries when
-    the weights are not all 1. A comparison is exact when every operator in
-    it carries ``amplitude_sq`` and falls back to ``tols.ck`` otherwise.
+    the weights are not all 1. Both adjoint(S_e)·S_e and S_e·adjoint(S_e) are
+    diagonal, with the same squared entry ρ_e(x) at x and at f_e(x), so one
+    table x ↦ ρ_e(x) per edge serves items ii, iii and v. With ``amplitude_sq``
+    q, ρ_e(x) = 1 is q·w(f_e(x)) = w(x) over cross-multiplied integers (a
+    Fraction only for a failing witness); other edges fall back to ``tols.ck``.
 
     Item iv is decided by range overlap: adjoint(S_e)·S_f is nonzero exactly
     when the images of S_e and S_f share an index, so one pass over the
-    images finds the first overlapping pair without forming any product.
-    Each range product S_e·adjoint(S_e) is formed once, for items iii and v.
+    images finds the first overlapping pair.
     """
     ids = {e.id for e in g.edges}
     if set(fam.edge_ops) != ids:
@@ -329,20 +316,37 @@ def verify_ck(fam: GeneratorFamily, g: DirectedGraph, tols: Tolerances = Toleran
     if set(fam.vertex_projs) != set(g.vertices):
         raise OperatorError("vertex projections do not match the graph's vertices")
 
-    # adjoint_weighted inverts an injective mapping, so adjoint(S)·S and
-    # S·adjoint(S) send each index to itself: only supports and amplitudes
-    # can fail items ii, iii and v
-    adjoints = {
-        e.id: adjoint_weighted(fam.edge_ops[e.id], fam.weights) for e in g.edges
-    }
+    weight_ratios = {x: w.as_integer_ratio() for x, w in fam.weights.items()}
 
-    @functools.cache
-    def range_product(edge_id: str) -> tuple[dict[int, object], bool]:
-        return _as_exact(compose(fam.edge_ops[edge_id], adjoints[edge_id]))
+    def squared_products(t: WeightedPartialIsometry) -> dict[int, object]:
+        rho: dict[int, object] = {}
+        for x, j in t.mapping.items():
+            if t.amplitude_sq is not None:
+                qn, qd = t.amplitude_sq[x].as_integer_ratio()
+                jn, jd = weight_ratios[j]
+                xn, xd = weight_ratios[x]
+                if qn * jn * xd == qd * jd * xn:
+                    rho[x] = 1
+                else:
+                    rho[x] = (Fraction(qn, qd) * Fraction(jn * xd, jd * xn)) ** 2
+            else:
+                a = t.amplitude[x]
+                ratio = Fraction(fam.weights[j]) / Fraction(fam.weights[x])
+                value = _normal_float(ratio)
+                if value is not None:
+                    back = a * value
+                else:
+                    back = _float_at(Fraction(a) * ratio, j)
+                product = a * back
+                rho[x] = product * product
+        return rho
+
+    rho = {e.id: squared_products(fam.edge_ops[e.id]) for e in g.edges}
 
     def isometries():
         for e in g.edges:
-            sq, exact = _as_exact(compose(adjoints[e.id], fam.edge_ops[e.id]))
+            sq = rho[e.id]
+            exact = fam.edge_ops[e.id].amplitude_sq is not None
             support = fam.vertex_projs[e.rng].support
             if set(sq) != support:
                 missing = sorted(support - set(sq))
@@ -350,18 +354,18 @@ def verify_ck(fam: GeneratorFamily, g: DirectedGraph, tols: Tolerances = Toleran
                 yield {"edge": e.id, "missing": missing, "extra": extra}
             for x in sorted(sq):
                 if not _is_one(sq[x], exact, tols.ck):
-                    yield {"edge": e.id, "index": x, "amplitudeSquared": float(sq[x])}
+                    yield {"edge": e.id, "index": x, "amplitudeSquared": _as_float(sq[x])}
 
     def range_projections():
         for e in g.edges:
-            sq, exact = range_product(e.id)
-            bound = 1 if exact else 1.0 + tols.ck
+            t = fam.edge_ops[e.id]
+            bound = 1 if t.amplitude_sq is not None else 1.0 + tols.ck
             support = fam.vertex_projs[e.src].support
-            for x in sorted(sq):
-                if x not in support:
-                    yield {"edge": e.id, "index": x, "outsideSource": e.src}
-                if not sq[x] <= bound:
-                    yield {"edge": e.id, "index": x, "amplitudeSquared": float(sq[x])}
+            for j, x in sorted((j, x) for x, j in t.mapping.items()):
+                if j not in support:
+                    yield {"edge": e.id, "index": j, "outsideSource": e.src}
+                if not rho[e.id][x] <= bound:
+                    yield {"edge": e.id, "index": j, "amplitudeSquared": _as_float(rho[e.id][x])}
 
     def overlapping_images():
         # the first pair (e, f) in edge order whose images meet is the least
@@ -386,9 +390,12 @@ def verify_ck(fam: GeneratorFamily, g: DirectedGraph, tols: Tolerances = Toleran
                 continue
             diag: dict[int, object] = {}
             for e in out:
-                sq, _ = range_product(e.id)
-                for x in sq:
-                    diag[x] = diag.get(x, 0) + sq[x]
+                sq = rho[e.id]
+                for x, j in fam.edge_ops[e.id].mapping.items():
+                    try:
+                        diag[j] = diag.get(j, 0) + sq[x]
+                    except OverflowError:  # an exact term too large to join a float one
+                        diag[j] = math.inf
             support = fam.vertex_projs[v].support
             if set(diag) != support:
                 missing = sorted(support - set(diag))
@@ -397,7 +404,7 @@ def verify_ck(fam: GeneratorFamily, g: DirectedGraph, tols: Tolerances = Toleran
             exact = all(fam.edge_ops[e.id].amplitude_sq is not None for e in out)
             for x in sorted(diag):
                 if not _is_one(diag[x], exact, tols.ck):
-                    yield {"vertex": v, "index": x, "diagonal": float(diag[x])}
+                    yield {"vertex": v, "index": x, "diagonal": _as_float(diag[x])}
 
     supports = ((v, fam.vertex_projs[v].support) for v in g.vertices)
     items = (

@@ -23,14 +23,13 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Iterable
 
 from .graph import (
     ComponentDecomposition,
     DirectedGraph,
     Edge,
     component_edge_lists,
-    component_edges,
     decompose,
     is_forest,
 )
@@ -254,11 +253,6 @@ def vertex_roles(
 
 
 # -- structural shape report ----------------------------------------------
-
-
-def component_is_p_simple(g: DirectedGraph, members: Iterable[str]) -> bool:
-    members = tuple(members)
-    return is_forest(members, component_edges(g, members))
 
 
 def _level_or_inf(d: LevelDecomposition, v: str) -> float:

@@ -2,20 +2,20 @@
 
 ``validate``, ``verify_ck`` and ``check_representation`` here are the
 hand-rolled "scan, keep the first witness, break" loops, with their helpers
-and the fixed refuse band. The library now builds each report item from a
-witness generator; the property tests in ``test_check_oracle.py`` require
-identical reports.
+and the fixed refuse band. One helper is ``adjoint_weighted``, which forms
+the weighted adjoints the original ``verify_ck`` composes. The library now
+builds each report item from a witness generator; the property tests in
+``test_check_oracle.py`` require identical reports.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Optional
 
 import numpy as np
 
 from branchrep.alignment import (
-    RANK_TOL,
-    REP_TOL,
     ConcreteRepresentation,
     DegenerateRankError,
     RepresentationError,
@@ -27,10 +27,11 @@ from branchrep.operators import (
     GeneratorFamily,
     OperatorError,
     WeightedPartialIsometry,
-    adjoint_weighted,
+    _float_at,
+    _normal_float,
     compose,
 )
-from branchrep.report import FAIL, PASS, CheckItem, Report
+from branchrep.report import FAIL, PASS, CheckItem, Report, Tolerances
 
 DEGENERATE_BAND = (1e-12, 1e-8)
 
@@ -129,6 +130,30 @@ def validate(bs: DiscreteBranchingSystem, g: DirectedGraph) -> Report:
     items.append(CheckItem("6", FAIL if witness else PASS, witness))
 
     return Report(tuple(items))
+
+
+def adjoint_weighted(t: WeightedPartialIsometry, weights: dict[int, float]) -> WeightedPartialIsometry:
+    """Adjoint in the weighted inner product <φ,ψ> = Σ w(x)·φ(x)·conj(ψ(x)).
+
+    If t carries x to j with amplitude a, the adjoint carries j back to x
+    with amplitude a·w(j)/w(x) — the weight ratio re-balances the pairing.
+    """
+    mapping: dict[int, int] = {}
+    amplitude: dict[int, float] = {}
+    amplitude_sq: Optional[dict[int, Fraction]] = (
+        {} if t.amplitude_sq is not None else None
+    )
+    for x, j in t.mapping.items():
+        mapping[j] = x
+        ratio = Fraction(weights[j]) / Fraction(weights[x])
+        value = _normal_float(ratio)
+        if value is not None:
+            amplitude[j] = t.amplitude[x] * value
+        else:
+            amplitude[j] = _float_at(Fraction(t.amplitude[x]) * ratio, j)
+        if amplitude_sq is not None:
+            amplitude_sq[j] = t.amplitude_sq[x] * ratio * ratio
+    return WeightedPartialIsometry(mapping=mapping, amplitude=amplitude, amplitude_sq=amplitude_sq)
 
 
 def _as_exact(t: WeightedPartialIsometry, float_tol: float):
@@ -299,8 +324,8 @@ def _stable_rank(m: np.ndarray, rank_tol: float) -> int:
 def check_representation(
     rep: ConcreteRepresentation,
     g: DirectedGraph,
-    tol: float = REP_TOL,
-    rank_tol: float = RANK_TOL,
+    tol: float = Tolerances().rep,
+    rank_tol: float = Tolerances().rank,
 ) -> Report:
     """Report on the graph relations for dense matrices.
 

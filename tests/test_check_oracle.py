@@ -37,7 +37,8 @@ from branchrep import (
 )
 from branchrep import alignment
 
-WEIGHTS = st.sampled_from([0.5, 1.0, 2.0, 3.0, 0.25])
+# dyadic weights, and non-dyadic ones whose exact ratios have long integer parts
+WEIGHTS = st.sampled_from([0.5, 1.0, 2.0, 3.0, 0.25, 0.1, 0.3, 1 / 3, 7e-5, 1e5])
 
 
 def _same(new, old):

@@ -393,6 +393,42 @@ def test_induce_rejects_unrepresentable_amplitude(capsys, tmp_path, weights):
     assert len(err.splitlines()) == 1 and "too large for a float" in err
 
 
+@pytest.mark.parametrize(
+    "weights, index",
+    [
+        ({"3": 1.7e308, "0": 5e-324, "4": 5e-324, "1": 1.7e308}, 3),
+        ({"3": 5e-324, "0": 1.7e308, "4": 1.7e308, "1": 5e-324}, 4),
+    ],
+    ids=["forward-then-adjoint", "adjoint-then-forward"],
+)
+def test_induce_reports_a_forward_overflow_before_an_adjoint_one(
+    capsys, tmp_path, weights, index
+):
+    """One edge's forward amplitude and the other's adjoint both overflow;
+    whichever edge comes first, the forward one is named."""
+    gpath = write_json(tmp_path / "g.json", TWO_LEAF_DOC)
+    doc = json.loads((GOLDEN / "synthesize_two_leaf.json").read_text(encoding="utf-8"))
+    doc["weights"] = {str(x): 1.0 for x in doc["universe"]} | weights
+    spath = write_json(tmp_path / "bs.json", doc)
+    code, out, err = run(capsys, "induce", spath, "--graph", gpath)
+    assert code == 2 and out == ""
+    assert err == f"error: amplitude at {index} is too large for a float\n"
+
+
+def test_induce_weighted_system_matches_golden_bytes(capsys):
+    """Non-dyadic weights (0.1, 0.3, 1/3, 7e-5, 1e5, 0.7) make every ratio a
+    long exact fraction; every relation still holds exactly."""
+    code, out, _ = run(
+        capsys,
+        "induce",
+        str(FIXTURES / "two_leaf_weighted_system.json"),
+        "--graph",
+        str(TWO_LEAF_GRAPH_PATH),
+    )
+    assert code == 0
+    assert out == (GOLDEN / "induce_two_leaf_weighted.json").read_text(encoding="utf-8")
+
+
 def test_induce_writes_matrix_files(capsys, tmp_path):
     gpath = write_json(tmp_path / "g.json", SINGLE_EDGE_DOC)
     g = graph_from_json(SINGLE_EDGE_DOC)

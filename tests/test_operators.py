@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -12,7 +13,6 @@ from branchrep import (
     OperatorError,
     WeightedPartialIsometry,
     adjoint,
-    adjoint_weighted,
     compose,
     coordinate_export,
     graph_from_json,
@@ -23,8 +23,8 @@ from branchrep import (
     to_matrix,
     verify_ck,
     wpi_matrix,
-    zero_operator,
 )
+from check_oracle import adjoint_weighted
 from conftest import path_graph, single_edge_graph, star_graph
 
 
@@ -70,8 +70,6 @@ def test_operator_accessors():
 
 
 def test_zero_and_identity_helpers():
-    z = zero_operator()
-    assert z.mapping == {} and z.domain == frozenset()
     ident = identity_on([2, 0, 2])
     assert ident.mapping == {0: 0, 2: 2}
     assert ident.amplitude_sq == {0: Fraction(1), 2: Fraction(1)}
@@ -229,6 +227,22 @@ def test_induce_weighted_amplitudes_frozen():
     assert fam.vertex_projs["u"].support == frozenset({0})
 
 
+def test_induce_refuses_an_adjoint_amplitude_that_is_not_a_float():
+    """The forward amplitude sqrt(w(1)/w(0)) is about 2**-1049, still a float;
+    its weighted adjoint, about 2**1049, is not, and induce itself refuses it
+    before any relation check."""
+    g = single_edge_graph()
+    bs = DiscreteBranchingSystem(
+        universe=(0, 1),
+        range_sets={"e": frozenset({0})},
+        domain_sets={"u": frozenset({0}), "v": frozenset({1})},
+        edge_maps={"e": {1: 0}},
+        weights={0: 1.7e308, 1: 5e-324},
+    )
+    with pytest.raises(OperatorError, match="^amplitude at 0 is too large for a float$"):
+        induce(bs, g)
+
+
 def test_verify_ck_exact_on_synthesized_systems():
     rng = np.random.default_rng(8)
     for _ in range(20):
@@ -253,6 +267,32 @@ def test_verify_ck_exact_on_weighted_systems():
         )
         report = verify_ck(induce(bs, g), g)
         assert report.passed and report.exact
+
+
+@pytest.mark.parametrize(
+    "weights, fragment",
+    [
+        ({0: -1.0, 1: -1.0}, "weight at index 0 must be positive and finite, got -1.0"),
+        ({0: 1.0, 1: 0.0}, "weight at index 1 must be positive and finite, got 0.0"),
+        ({0: float("nan"), 1: 1.0}, "weight at index 0 must be positive and finite, got nan"),
+        ({0: 1.0, 1: float("inf")}, "weight at index 1 must be positive and finite, got inf"),
+        ({0: 1.0}, "weights must be defined on exactly the universe"),
+        ({0: 1.0, 1: 1.0, 2: 1.0}, "weights must be defined on exactly the universe"),
+    ],
+    ids=["negative", "zero", "nan", "inf", "missing", "extra"],
+)
+def test_family_refuses_weights_that_are_not_positive_and_finite(weights, fragment):
+    """A negative weight once gave an exact pass, a zero one a ZeroDivisionError."""
+    with pytest.raises(OperatorError, match=f"^{fragment}$"):
+        GeneratorFamily(
+            universe=(0, 1),
+            edge_ops={"e": exact_wpi({1: 0})},
+            vertex_projs={
+                "u": DiagonalProjection(frozenset({0})),
+                "v": DiagonalProjection(frozenset({1})),
+            },
+            weights=weights,
+        )
 
 
 # -- relation failures, one at a time -----------------------------------------------
@@ -379,23 +419,59 @@ def test_verify_ck_float_fallback_sets_exact_false():
     assert not report.exact
 
 
+def test_verify_ck_fails_a_float_adjoint_that_underflows_to_zero():
+    """The weighted adjoint of amplitude 1e-200 across weights 1e-200 and 1
+    is 1e-200·1e-200, which underflows to 0.0: item ii fails with a zero
+    squared amplitude rather than passing or raising."""
+    float_edge = WeightedPartialIsometry(mapping={1: 0}, amplitude={1: 1e-200})
+    fam, g = family_on_single_edge(edge=float_edge, weights={0: 1e-200, 1: 1.0})
+    report = verify_ck(fam, g)
+    assert not report.passed and not report.exact
+    item = report.item("ii")
+    assert item.status == "fail"
+    assert item.witness == {"edge": "e", "index": 1, "amplitudeSquared": 0.0}
+
+
+def test_verify_ck_reports_an_exact_square_too_large_for_a_float_as_infinite():
+    """e1's exact squared product is about 1e800 and e2's float one overflows:
+    items ii and v fail with an infinite witness instead of raising
+    OverflowError, v from an exact term added to a float one."""
+    g = graph_from_json(
+        {
+            "vertices": ["u", "v"],
+            "edges": [
+                {"id": "e1", "src": "u", "rng": "v"},
+                {"id": "e2", "src": "u", "rng": "v"},
+            ],
+        }
+    )
+    huge = WeightedPartialIsometry(
+        mapping={1: 0}, amplitude={1: 1e100}, amplitude_sq={1: Fraction(10**200)}
+    )
+    fam = GeneratorFamily(
+        universe=(0, 1),
+        edge_ops={"e1": huge, "e2": WeightedPartialIsometry(mapping={1: 0}, amplitude={1: 1.0})},
+        vertex_projs={"u": DiagonalProjection(frozenset({0})), "v": DiagonalProjection(frozenset({1}))},
+        weights={0: 1e200, 1: 1.0},
+    )
+    report = verify_ck(fam, g)
+    assert report.item("ii").witness == {"edge": "e1", "index": 1, "amplitudeSquared": math.inf}
+    assert report.item("v").witness == {"vertex": "u", "index": 0, "diagonal": math.inf}
+
+
 @pytest.mark.parametrize("edges", [50, 200])
 @pytest.mark.parametrize("shape", ["out-star", "path"])
-def test_verify_ck_forms_at_most_two_products_per_edge(monkeypatch, shape, edges):
-    """Items ii, iii and v need one product per edge each, iii and v the same
-    one; relation iv needs none, so the count stays linear in E."""
+def test_verify_ck_forms_no_operator_product(monkeypatch, shape, edges):
+    """Items ii, iii and v read one table of squared amplitudes per edge and
+    relation iv reads the images, so no product of two operators is formed."""
     g = star_graph(edges, outward=True) if shape == "out-star" else path_graph(edges + 1)
     fam = induce(synthesize(g, {v: 1 for v in g.sinks()}), g)
-    calls = 0
 
-    def counting_compose(a, b):
-        nonlocal calls
-        calls += 1
-        return compose(a, b)
+    def refusing_compose(a, b):
+        raise AssertionError("verify_ck formed an operator product")
 
-    monkeypatch.setattr(operators, "compose", counting_compose)
+    monkeypatch.setattr(operators, "compose", refusing_compose)
     assert verify_ck(fam, g).passed
-    assert 0 < calls <= 2 * edges
 
 
 # -- text export --------------------------------------------------------------------

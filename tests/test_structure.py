@@ -14,8 +14,6 @@ from branchrep import (
     check_structure,
     classify,
     component_classifications,
-    component_is_p_simple,
-    decompose,
     extreme_vertices,
     graph_from_json,
     level_decomposition,
@@ -295,14 +293,6 @@ def test_check_structure_flags_irregular_claim_on_forest():
     assert report.item("4").status == "fail"
     (witness,) = report.item("4").witness
     assert set(witness["unleveled"]) == {"v2", "v3", "v4"}
-
-
-def test_component_is_p_simple(example_graph):
-    dec = decompose(example_graph)
-    assert not component_is_p_simple(example_graph, dec.components[0])
-    assert not component_is_p_simple(example_graph, dec.components[1])
-    g = path_graph(3)
-    assert component_is_p_simple(g, ("v1", "v2", "v3"))
 
 
 # -- reporting -------------------------------------------------------------------
