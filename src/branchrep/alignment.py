@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import dataclasses
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import chain, combinations
 from typing import Mapping, Optional
 
@@ -24,7 +24,7 @@ import numpy as np
 
 from .branching import DiscreteBranchingSystem, synthesize, validate
 from .graph import DirectedGraph, GraphError, sink_first_order
-from .operators import WeightedPartialIsometry, induce, wpi_matrix
+from .operators import OperatorError, induce
 from .report import FAIL, PASS, CheckItem, Report, Tolerances, first_witness
 
 # the residual default as a plain name, for callers that compare against it
@@ -100,16 +100,22 @@ class BasisAssignment:
 
 @dataclass(frozen=True, eq=False)
 class EquivalenceCertificate:
-    """A branching system, a unitary, and how well they reproduce the input."""
+    """A branching system, a unitary, and how well they reproduce the input.
+
+    The residuals are None, so ``max_residual`` is NaN and the certificate
+    does not pass, until ``verify_equivalence`` measures them.
+    """
 
     system: DiscreteBranchingSystem
     unitary: np.ndarray
-    edge_residuals: dict[str, float] = field(default_factory=dict)
-    vertex_residuals: dict[str, float] = field(default_factory=dict)
+    edge_residuals: Optional[dict[str, float]] = None
+    vertex_residuals: Optional[dict[str, float]] = None
 
     @property
     def max_residual(self) -> float:
-        """The largest residual, NaN if any residual is NaN."""
+        """The largest residual; NaN if any is NaN or they are not yet measured."""
+        if self.edge_residuals is None or self.vertex_residuals is None:
+            return np.nan
         values = list(self.edge_residuals.values()) + list(self.vertex_residuals.values())
         return float(np.max(values)) if values else 0.0
 
@@ -469,43 +475,39 @@ def random_representation(
     Starts from the canonical model of the synthesized branching system,
     twists each edge operator S_e by a Haar unitary H_e of its range
     vertex's block (one per edge, drawn in document order), then conjugates
-    everything by one global Haar unitary G, drawn last. With
-    ``axis_aligned`` no randomness is used and the matrices are exactly the
-    canonical 0/1 ones. The result is not checked here; callers that need a
-    report run ``check_representation`` on it.
+    everything by one global Haar unitary G, drawn last. ``axis_aligned``
+    takes the same path with G and every H_e the identity, so no randomness
+    is used and the matrices are exactly the canonical 0/1 ones. The result
+    is not checked here; callers that need a report run
+    ``check_representation`` on it.
 
-    No canonical N×N matrix is formed when twisting. Each canonical operator
-    is a weighted partial permutation, so a vertex projection's conjugate is
-    one gathered product (``_conjugate`` with U = G*), and a twisted edge's is
-    (G[:, js]·diag(a)·H_e)·G*[block, :], ``block`` being the sorted domain
-    set of rng(e) and S_e sending its x-th index to js[x] with amplitude
-    a[x]: O(N²·k) per generator instead of two N×N×N products.
+    The canonical model is read off the system's index maps (``synthesize``
+    builds it valid, with unit weights); no operator is formed. A vertex
+    projection's conjugate is one gathered product G[:, d]·G*[d, :], d the
+    sorted D_v (``_conjugate``), and a twisted edge's is
+    (G[:, js]·H_e)·G*[block, :], block the sorted D_rng(e) and js[x] = f_e(x):
+    O(N²·k) per generator instead of two N×N×N products.
     """
     bs = synthesize(g, sink_dims, slack=complement_dim)
-    fam = induce(bs, g)
     n = len(bs.universe)
     if n <= 0:
         # the same error ConcreteRepresentation raises, before any Haar draw
         raise RepresentationError(f"dim must be positive, got {n}")
-    projs = {v: fam.vertex_projs[v].as_partial_isometry() for v in g.vertices}
+    domains = {v: sorted(bs.domain_sets[v]) for v in g.vertices}
     if axis_aligned:
-        edge_mats = {
-            e.id: wpi_matrix(fam.edge_ops[e.id], n).astype(complex) for e in g.edges
-        }
-        vertex_mats = {v: wpi_matrix(t, n).astype(complex) for v, t in projs.items()}
+        twists = {e.id: np.eye(len(domains[e.rng]), dtype=complex) for e in g.edges}
+        gmat = gstar = np.eye(n, dtype=complex)
     else:
         rng = np.random.default_rng(seed)
-        blocks = {e.id: sorted(bs.domain_sets[e.rng]) for e in g.edges}
-        twists = {k: haar_unitary(len(block), rng) for k, block in blocks.items()}
+        twists = {e.id: haar_unitary(len(domains[e.rng]), rng) for e in g.edges}
         gmat = haar_unitary(n, rng)
         gstar = gmat.conj().T
-        edge_mats = {}
-        for k, block in blocks.items():
-            op = fam.edge_ops[k]
-            js = [op.mapping[x] for x in block]
-            amps = np.array([op.amplitude[x] for x in block], dtype=float)
-            edge_mats[k] = ((gmat[:, js] * amps) @ twists[k]) @ gstar[block, :]
-        vertex_mats = {v: _conjugate(t, gstar, gmat) for v, t in projs.items()}
+    edge_mats = {}
+    for e in g.edges:
+        block = domains[e.rng]
+        js = [bs.edge_maps[e.id][x] for x in block]
+        edge_mats[e.id] = (gmat[:, js] @ twists[e.id]) @ gstar[block, :]
+    vertex_mats = {v: _conjugate(gstar, gmat, d, d) for v, d in domains.items()}
     return ConcreteRepresentation(
         dim=n,
         complement_dim=complement_dim,
@@ -806,8 +808,8 @@ def extract_branching_system(
     bijection f_e pairs ``vertex_bases[rng(e)]`` with ``edge_bases[e]``
     position by position, once ``check_b2b`` passes (else AlignmentError).
     The returned unitary sends the k-th global basis vector to the k-th
-    standard coordinate vector. Residuals start empty;
-    ``verify_equivalence`` fills them.
+    standard coordinate vector. The residuals are None, and the
+    certificate cannot pass, until ``verify_equivalence`` fills them.
     """
     report = check_b2b(rep, ba, g, tols)
     if not report.passed:
@@ -845,20 +847,20 @@ def _certificate(
     )
 
 
-def _conjugate(t: WeightedPartialIsometry, u: np.ndarray, u_star: np.ndarray) -> np.ndarray:
-    """U*·T·U for T sending x to j with amplitude a, as one gathered product.
+def _conjugate(u: np.ndarray, u_star: np.ndarray, xs: list, js: list, amps=None) -> np.ndarray:
+    """U*·T·U for T sending xs[i] to js[i] with amplitude amps[i], as one gathered product.
 
-    T has one nonzero per mapped x, so the product is (U*[:, js]·diag(a))·U[xs, :]:
-    an N×k by k×N product instead of two N×N×N ones.
+    T has one nonzero per pair, so the product is (U*[:, js]·diag(amps))·U[xs, :]:
+    an N×k by k×N product instead of two N×N×N ones. ``amps`` of None means
+    a projection (all ones). A pair outside 0..N-1 raises OperatorError.
     """
-    m = t.mapping
-    indices = (*m, *m.values())
-    if indices and not (0 <= min(indices) and max(indices) < len(u)):
-        wpi_matrix(t, len(u))  # raises, naming the first index pair outside the matrix
-    xs = np.fromiter(m, np.intp, len(m))
-    js = np.fromiter(m.values(), np.intp, len(m))
-    amps = np.fromiter(map(t.amplitude.__getitem__, m), float, len(m))
-    return (u_star[:, js] * amps) @ u[xs, :]
+    n = len(u)
+    indices = (*xs, *js)
+    if indices and not (0 <= min(indices) and max(indices) < n):
+        x, j = next((x, j) for x, j in zip(xs, js) if not (0 <= x < n and 0 <= j < n))
+        raise OperatorError(f"index pair ({x}, {j}) outside matrix size {n}")
+    left = u_star[:, js] if amps is None else u_star[:, js] * amps
+    return left @ u[xs, :]
 
 
 def verify_equivalence(
@@ -872,10 +874,10 @@ def verify_equivalence(
     For every generator the canonical operator of the extracted system is
     conjugated back through the unitary and compared against the input in
     Frobenius norm; the certificate comes back with those residuals filled.
-    The canonical operator is a weighted partial permutation with k nonzeros,
-    so each conjugate is one O(N²·k) gathered product (see ``_conjugate``)
-    rather than two dense N×N×N ones. The unitary must be unitary to within
-    ``tols.rep``.
+    Each conjugate is one O(N²·k) gathered product (see ``_conjugate``)
+    rather than two dense N×N×N ones: a vertex projection's from its sorted
+    support, an edge's from the induced family, whose amplitudes are not 1
+    on a weighted system. The unitary must be unitary to within ``tols.rep``.
     """
     n = rep.dim
     u = cert.unitary
@@ -892,11 +894,13 @@ def verify_equivalence(
     u_star = u.conj().T
     edge_residuals = {}
     for e in g.edges:
-        conjugate = _conjugate(fam.edge_ops[e.id], u, u_star)
+        m, a = fam.edge_ops[e.id].mapping, fam.edge_ops[e.id].amplitude
+        conjugate = _conjugate(u, u_star, list(m), list(m.values()), [a[x] for x in m])
         edge_residuals[e.id] = float(np.linalg.norm(conjugate - rep.edge_matrices[e.id]))
     vertex_residuals = {}
     for v in g.vertices:
-        conjugate = _conjugate(fam.vertex_projs[v].as_partial_isometry(), u, u_star)
+        d = sorted(cert.system.domain_sets[v])
+        conjugate = _conjugate(u, u_star, d, d)
         vertex_residuals[v] = float(np.linalg.norm(conjugate - rep.vertex_matrices[v]))
     return dataclasses.replace(
         cert, edge_residuals=edge_residuals, vertex_residuals=vertex_residuals

@@ -80,12 +80,7 @@ class DirectedGraph:
             incident[e.src].append(e)
             if not e.is_loop:
                 incident[e.rng].append(e)
-        # incident lists must follow document order of edges, not insertion
-        # by endpoint role; rebuild them ordered by edge position.
-        self._incident = {
-            v: tuple(sorted(es, key=lambda e: self._edge_pos[e.id]))
-            for v, es in incident.items()
-        }
+        self._incident = {v: tuple(es) for v, es in incident.items()}
         self._out = {v: tuple(es) for v, es in out_edges.items()}
         self._in = {v: tuple(es) for v, es in in_edges.items()}
 

@@ -34,14 +34,28 @@ class WeightedPartialIsometry:
     Acting on a function φ, the result at index j is amplitude[x]·φ(x) for
     the unique x with mapping[x] = j. ``amplitude_sq``, when present, carries
     the exact squares of the amplitudes and is preserved through composition
-    so relation checks can avoid floats entirely.
+    so relation checks can avoid floats entirely. With ``amplitude_sq`` the
+    amplitudes are its float roots (``_sqrt_ratio``): left out, they are
+    derived; given, they must equal them, so an exact check vouches for the
+    floats that are exported.
     """
 
     mapping: dict[int, int]
-    amplitude: dict[int, float]
+    amplitude: Optional[dict[int, float]] = None
     amplitude_sq: Optional[dict[int, Fraction]] = None
 
     def __post_init__(self):
+        if self.amplitude_sq is not None:
+            if set(self.amplitude_sq) != set(self.mapping):
+                raise OperatorError("amplitude_sq must share the mapping's domain")
+            for x, q in self.amplitude_sq.items():
+                if not q > 0:
+                    raise OperatorError(f"amplitude_sq at {x} must be positive, got {q}")
+            roots = {x: _sqrt_ratio(q, x) for x, q in self.amplitude_sq.items()}
+            if self.amplitude is None:
+                object.__setattr__(self, "amplitude", roots)
+        if self.amplitude is None:
+            raise OperatorError("an operator needs amplitude or amplitude_sq")
         if set(self.mapping) != set(self.amplitude):
             raise OperatorError("mapping and amplitude must share the same domain")
         seen: dict[int, int] = {}
@@ -53,12 +67,12 @@ class WeightedPartialIsometry:
         for x, a in self.amplitude.items():
             if not a > 0:
                 raise OperatorError(f"amplitude at {x} must be positive, got {a}")
-        if self.amplitude_sq is not None:
-            if set(self.amplitude_sq) != set(self.mapping):
-                raise OperatorError("amplitude_sq must share the mapping's domain")
-            for x, q in self.amplitude_sq.items():
-                if not q > 0:
-                    raise OperatorError(f"amplitude_sq at {x} must be positive, got {q}")
+        if self.amplitude_sq is not None and self.amplitude != roots:
+            x = next(x for x, a in self.amplitude.items() if a != roots[x])
+            raise OperatorError(
+                f"amplitude at {x} is {self.amplitude[x]!r}, not the root of amplitude_sq "
+                f"{self.amplitude_sq[x]}"
+            )
 
     @property
     def domain(self) -> frozenset[int]:
@@ -74,11 +88,7 @@ class WeightedPartialIsometry:
 
 def identity_on(support: Iterable[int]) -> WeightedPartialIsometry:
     s = sorted(set(support))
-    return WeightedPartialIsometry(
-        mapping={x: x for x in s},
-        amplitude={x: 1.0 for x in s},
-        amplitude_sq={x: Fraction(1) for x in s},
-    )
+    return WeightedPartialIsometry({x: x for x in s}, amplitude_sq={x: Fraction(1) for x in s})
 
 
 @dataclass(frozen=True)
@@ -119,21 +129,16 @@ def induce(bs: DiscreteBranchingSystem, g: DirectedGraph) -> GeneratorFamily:
         bad = ", ".join(item.item for item in report.failures())
         raise OperatorError(f"branching system fails condition(s) {bad}; cannot induce")
 
+    parts = {x: w.as_integer_ratio() for x, w in bs.weights.items()}
     edge_ops: dict[str, WeightedPartialIsometry] = {}
     for e in g.edges:
         f = bs.edge_maps[e.id]
-        mapping: dict[int, int] = {}
-        amplitude: dict[int, float] = {}
-        amplitude_sq: dict[int, Fraction] = {}
-        for x in sorted(f):
-            j = f[x]
-            mapping[x] = j
-            ratio = Fraction(bs.weight(x)) / Fraction(bs.weight(j))
-            amplitude_sq[x] = ratio
-            amplitude[x] = _sqrt_ratio(ratio, x)
-        edge_ops[e.id] = WeightedPartialIsometry(
-            mapping=mapping, amplitude=amplitude, amplitude_sq=amplitude_sq
-        )
+        mapping = {x: f[x] for x in sorted(f)}
+        ratios = {
+            x: Fraction(parts[x][0] * parts[j][1], parts[x][1] * parts[j][0])
+            for x, j in mapping.items()
+        }
+        edge_ops[e.id] = WeightedPartialIsometry(mapping=mapping, amplitude_sq=ratios)
     # the weighted adjoint's amplitude, about sqrt(w(j)/w(x)), can overflow only
     # where the float w(j)/w(x) does; refused after every forward amplitude
     for op in edge_ops.values():
@@ -185,27 +190,20 @@ def _sqrt_ratio(ratio: Fraction, index: int) -> float:
 def adjoint(t: WeightedPartialIsometry) -> WeightedPartialIsometry:
     """Adjoint for the counting measure: reverse the map, keep the scalars."""
     mapping = {j: x for x, j in t.mapping.items()}
-    amplitude = {j: t.amplitude[x] for x, j in t.mapping.items()}
-    amplitude_sq = None
     if t.amplitude_sq is not None:
-        amplitude_sq = {j: t.amplitude_sq[x] for x, j in t.mapping.items()}
-    return WeightedPartialIsometry(mapping=mapping, amplitude=amplitude, amplitude_sq=amplitude_sq)
+        squares = {j: t.amplitude_sq[x] for j, x in mapping.items()}
+        return WeightedPartialIsometry(mapping, amplitude_sq=squares)
+    return WeightedPartialIsometry(mapping, {j: t.amplitude[x] for j, x in mapping.items()})
 
 
 def compose(a: WeightedPartialIsometry, b: WeightedPartialIsometry) -> WeightedPartialIsometry:
-    """Operator product a∘b: apply b first, then a; amplitudes multiply."""
-    mapping: dict[int, int] = {}
-    amplitude: dict[int, float] = {}
-    exact = a.amplitude_sq is not None and b.amplitude_sq is not None
-    amplitude_sq: Optional[dict[int, Fraction]] = {} if exact else None
-    for x, mid in b.mapping.items():
-        if mid not in a.mapping:
-            continue
-        mapping[x] = a.mapping[mid]
-        amplitude[x] = b.amplitude[x] * a.amplitude[mid]
-        if exact:
-            amplitude_sq[x] = b.amplitude_sq[x] * a.amplitude_sq[mid]
-    return WeightedPartialIsometry(mapping=mapping, amplitude=amplitude, amplitude_sq=amplitude_sq)
+    """Operator product a∘b: apply b first, then a; amplitudes (or exact squares) multiply."""
+    mapping = {x: a.mapping[mid] for x, mid in b.mapping.items() if mid in a.mapping}
+    if a.amplitude_sq is not None and b.amplitude_sq is not None:
+        amplitude_sq = {x: b.amplitude_sq[x] * a.amplitude_sq[b.mapping[x]] for x in mapping}
+        return WeightedPartialIsometry(mapping=mapping, amplitude_sq=amplitude_sq)
+    amplitude = {x: b.amplitude[x] * a.amplitude[b.mapping[x]] for x in mapping}
+    return WeightedPartialIsometry(mapping=mapping, amplitude=amplitude)
 
 
 def wpi_matrix(t: WeightedPartialIsometry, size: int) -> np.ndarray:

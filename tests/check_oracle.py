@@ -3,7 +3,9 @@
 ``validate``, ``verify_ck`` and ``check_representation`` here are the
 hand-rolled "scan, keep the first witness, break" loops, with their helpers
 and the fixed refuse band. One helper is ``adjoint_weighted``, which forms
-the weighted adjoints the original ``verify_ck`` composes. The library now
+the weighted adjoints the original ``verify_ck`` composes; an exact adjoint
+is built from its exact squares alone, as an operator's float amplitudes
+must be the roots of those. The library now
 builds each report item from a witness generator; the property tests in
 ``test_check_oracle.py`` require identical reports.
 """
@@ -153,7 +155,10 @@ def adjoint_weighted(t: WeightedPartialIsometry, weights: dict[int, float]) -> W
             amplitude[j] = _float_at(Fraction(t.amplitude[x]) * ratio, j)
         if amplitude_sq is not None:
             amplitude_sq[j] = t.amplitude_sq[x] * ratio * ratio
-    return WeightedPartialIsometry(mapping=mapping, amplitude=amplitude, amplitude_sq=amplitude_sq)
+    if amplitude_sq is not None:
+        # an exact operator's amplitude is the float root of its exact square
+        return WeightedPartialIsometry(mapping=mapping, amplitude_sq=amplitude_sq)
+    return WeightedPartialIsometry(mapping=mapping, amplitude=amplitude)
 
 
 def _as_exact(t: WeightedPartialIsometry, float_tol: float):

@@ -330,6 +330,29 @@ def test_nan_residual_fails_the_certificate():
     assert not cert.passes()
 
 
+def test_an_unverified_certificate_does_not_pass():
+    """Extraction measures no residual, so its certificate must not pass
+    until ``verify_equivalence`` has filled them."""
+    g = single_edge_graph()
+    rep = random_representation(g, {"v": 1}, seed=3)
+    cert = extract_branching_system(rep, align_bases(rep, g), g)
+    assert cert.edge_residuals is None and cert.vertex_residuals is None
+    assert np.isnan(cert.max_residual)
+    assert not cert.passes()
+    assert verify_equivalence(rep, cert, g).passes()
+
+
+def test_a_verified_certificate_of_an_empty_graph_passes():
+    g = graph_from_json({"vertices": [], "edges": []})
+    rep = random_representation(g, {}, complement_dim=2, seed=3)
+    cert = extract_branching_system(rep, align_bases(rep, g), g)
+    assert not cert.passes()
+    cert = verify_equivalence(rep, cert, g)
+    assert cert.edge_residuals == {} and cert.vertex_residuals == {}
+    assert cert.max_residual == 0.0
+    assert cert.passes()
+
+
 def test_align_rejects_nan_edge_entry():
     g = path_graph(3)
     rep = nan_in_first_entry(random_representation(g, {"v3": 2}, seed=5), "e2")
@@ -762,6 +785,37 @@ def test_random_representation_of_size_zero_raises_one_error(monkeypatch, axis_a
     g = graph_from_json({"vertices": ["u", "v"], "edges": []})
     with pytest.raises(RepresentationError, match=r"^dim must be positive, got 0$"):
         random_representation(g, {}, complement_dim=0, axis_aligned=axis_aligned)
+
+
+@pytest.mark.parametrize("axis_aligned", [False, True])
+def test_random_representation_forms_no_exact_operator(monkeypatch, axis_aligned):
+    """The canonical model's index maps are read off the synthesized system:
+    no induced family, no second validation, no identity operators and no
+    dense operator matrices, in either mode."""
+    from branchrep import branching, operators
+
+    def refuse(name):
+        def refused(*args, **kw):
+            pytest.fail(f"random_representation called {name}")
+
+        return refused
+
+    for module, name in (
+        (alignment, "induce"),
+        (alignment, "validate"),
+        (branching, "validate"),
+        (operators, "induce"),
+        (operators, "validate"),
+        (operators, "identity_on"),
+        (operators, "wpi_matrix"),
+    ):
+        monkeypatch.setattr(module, name, refuse(name))
+    g = star_graph(3, outward=True)
+    rep = random_representation(
+        g, {v: 2 for v in g.sinks()}, complement_dim=1, seed=5, axis_aligned=axis_aligned
+    )
+    monkeypatch.undo()
+    assert check_representation(rep, g).passed
 
 
 def test_axis_aligned_matches_induced_canonical_matrices():

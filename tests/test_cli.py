@@ -429,6 +429,29 @@ def test_induce_weighted_system_matches_golden_bytes(capsys):
     assert out == (GOLDEN / "induce_two_leaf_weighted.json").read_text(encoding="utf-8")
 
 
+def test_induce_weighted_matrix_files_match_golden_bytes(capsys, tmp_path):
+    """The coordinate files carry the exported float amplitudes, such as
+    577.35026918962581 = sqrt(1e5 / 0.3)."""
+    out_dir = tmp_path / "mats"
+    code, out, _ = run(
+        capsys,
+        "induce",
+        str(FIXTURES / "two_leaf_weighted_system.json"),
+        "--graph",
+        str(TWO_LEAF_GRAPH_PATH),
+        "--out-dir",
+        str(out_dir),
+    )
+    assert code == 0
+    assert out == (GOLDEN / "induce_two_leaf_weighted.json").read_text(encoding="utf-8")
+    golden = GOLDEN / "induce_two_leaf_weighted_matrices"
+    names = sorted(p.name for p in golden.iterdir())
+    assert names == ["edge-e1.txt", "edge-e2.txt", "vertex-a.txt", "vertex-b.txt", "vertex-r.txt"]
+    assert sorted(p.name for p in out_dir.iterdir()) == names
+    for name in names:
+        assert (out_dir / name).read_bytes() == (golden / name).read_bytes(), name
+
+
 def test_induce_writes_matrix_files(capsys, tmp_path):
     gpath = write_json(tmp_path / "g.json", SINGLE_EDGE_DOC)
     g = graph_from_json(SINGLE_EDGE_DOC)

@@ -263,6 +263,17 @@ def test_decompose_is_a_partition(doc):
         assert not g.incident(v)
 
 
+@given(small_graph_docs())
+@settings(max_examples=150, deadline=None)
+def test_incident_is_the_touching_edges_in_document_order(doc):
+    """Loops and parallel edges included; a loop is listed once."""
+    g = graph_from_json(doc)
+    for v in g.vertices:
+        assert g.incident(v) == tuple(e for e in g.edges if v in (e.src, e.rng))
+        assert g.out_edges(v) == tuple(e for e in g.edges if e.src == v)
+        assert g.in_edges(v) == tuple(e for e in g.edges if e.rng == v)
+
+
 def test_truncate_example(example_graph):
     g12, boundary12 = truncate(example_graph, 12)
     assert g12.vertex_count == 12 and g12.edge_count == 12

@@ -54,12 +54,48 @@ def exact_wpi(mapping: dict[int, int]) -> WeightedPartialIsometry:
             dict(mapping={0: 1}, amplitude={0: 1.0}, amplitude_sq={0: Fraction(0)}),
             "amplitude_sq at 0 must be positive",
         ),
+        (dict(mapping={0: 1}), "needs amplitude or amplitude_sq"),
     ],
 )
 def test_operator_construction_rejections(kwargs, fragment):
     with pytest.raises(OperatorError) as exc:
         WeightedPartialIsometry(**kwargs)
     assert fragment in str(exc.value)
+
+
+def test_an_amplitude_that_is_not_the_root_of_its_exact_square_is_refused():
+    """Built, this edge would pass every relation exactly on unit weights
+    while ``to_matrix`` exported the entry 5.0."""
+    with pytest.raises(
+        OperatorError, match=r"^amplitude at 1 is 5\.0, not the root of amplitude_sq 1$"
+    ):
+        WeightedPartialIsometry(mapping={1: 0}, amplitude={1: 5.0}, amplitude_sq={1: Fraction(1)})
+    # one rounding step off the root is refused too
+    with pytest.raises(OperatorError, match="not the root"):
+        WeightedPartialIsometry(
+            mapping={0: 1}, amplitude={0: math.nextafter(math.sqrt(0.1), 1.0)},
+            amplitude_sq={0: Fraction(1, 10)},
+        )
+
+
+def test_exact_squares_alone_give_their_float_roots():
+    t = WeightedPartialIsometry(
+        mapping={0: 1, 2: 3, 4: 5},
+        amplitude_sq={0: Fraction(1, 10), 2: Fraction(4), 4: Fraction(10**400)},
+    )
+    assert t.amplitude == {0: math.sqrt(0.1), 2: 2.0, 4: 1e200}
+    with pytest.raises(OperatorError, match="^amplitude at 0 is too large for a float$"):
+        WeightedPartialIsometry(mapping={0: 1}, amplitude_sq={0: Fraction(10**700)})
+
+
+def test_compose_of_exact_operators_takes_the_root_of_the_exact_product():
+    a = WeightedPartialIsometry(mapping={1: 2}, amplitude_sq={1: Fraction(3)})
+    b = WeightedPartialIsometry(mapping={0: 1}, amplitude_sq={0: Fraction(1, 3)})
+    product = compose(a, b)
+    assert product.amplitude_sq == {0: Fraction(1)}
+    # the product of the rounded roots, sqrt(1/3)·sqrt(3), is 1 - 2**-53
+    assert b.amplitude[0] * a.amplitude[1] < 1.0
+    assert product.amplitude == {0: 1.0}
 
 
 def test_operator_accessors():
