@@ -14,9 +14,8 @@ applies: parallel edges and undirected cycles break nothing.
 
 from __future__ import annotations
 
-import dataclasses
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain, combinations
 from typing import Mapping, Optional
 
@@ -103,13 +102,16 @@ class EquivalenceCertificate:
     """A branching system, a unitary, and how well they reproduce the input.
 
     The residuals are None, so ``max_residual`` is NaN and the certificate
-    does not pass, until ``verify_equivalence`` measures them.
+    does not pass, until ``verify_equivalence`` measures them. They are not
+    constructor arguments: only ``verify_equivalence`` sets them, for the
+    system and unitary it measured, and ``dataclasses.replace`` of either
+    gives a certificate whose residuals are None again.
     """
 
     system: DiscreteBranchingSystem
     unitary: np.ndarray
-    edge_residuals: Optional[dict[str, float]] = None
-    vertex_residuals: Optional[dict[str, float]] = None
+    edge_residuals: Optional[dict[str, float]] = field(default=None, init=False)
+    vertex_residuals: Optional[dict[str, float]] = field(default=None, init=False)
 
     @property
     def max_residual(self) -> float:
@@ -902,9 +904,19 @@ def verify_equivalence(
         d = sorted(cert.system.domain_sets[v])
         conjugate = _conjugate(u, u_star, d, d)
         vertex_residuals[v] = float(np.linalg.norm(conjugate - rep.vertex_matrices[v]))
-    return dataclasses.replace(
-        cert, edge_residuals=edge_residuals, vertex_residuals=vertex_residuals
-    )
+    return _measured(cert, edge_residuals, vertex_residuals)
+
+
+def _measured(
+    cert: EquivalenceCertificate,
+    edge_residuals: dict[str, float],
+    vertex_residuals: dict[str, float],
+) -> EquivalenceCertificate:
+    """A copy of cert carrying the residuals measured for its system and unitary."""
+    out = EquivalenceCertificate(cert.system, cert.unitary)
+    object.__setattr__(out, "edge_residuals", edge_residuals)
+    object.__setattr__(out, "vertex_residuals", vertex_residuals)
+    return out
 
 
 # -- JSON interchange ---------------------------------------------------------

@@ -45,10 +45,9 @@ from .branching import (
 from .graph import (
     DirectedGraph,
     GraphError,
-    component_edge_lists,
+    component_forests,
     decompose,
     graph_from_json,
-    is_forest,
     truncate,
 )
 from .operators import OperatorError, coordinate_export, induce, to_matrix, verify_ck
@@ -190,9 +189,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     checks = check_structure(g, d)
 
     components = []
-    for (comp, c), edges in zip(classifications, component_edge_lists(g, dec)):
+    for (comp, c), forest in zip(classifications, component_forests(g)):
         entry: dict = {"vertices": list(comp), "classification": c.to_json()}
-        if c.kind is not ClassificationKind.IRREGULAR and is_forest(comp, edges):
+        if c.kind is not ClassificationKind.IRREGULAR and forest:
             roles = vertex_roles(g, d, comp, c)
             entry["roles"] = {v: r.to_json() for v, r in roles.items()}
         components.append(entry)

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from functools import cached_property
+from typing import Iterable, Iterator, NamedTuple
 
 
 class GraphError(ValueError):
@@ -45,7 +46,11 @@ class DirectedGraph:
     """Immutable directed multigraph.
 
     ``vertices`` and ``edges`` keep document order; all iteration in this
-    package follows it.
+    package follows it. Being immutable, a graph is decomposed into its
+    components once, on first use, by one union-find sweep that every
+    caller shares (see ``decompose``). The structure layer reads the
+    position and incidence tables (``_vertex_pos``, ``_edge_pos``,
+    ``_incident``) directly, as plain dict lookups.
     """
 
     def __init__(self, vertices: Iterable[str], edges: Iterable[Edge]):
@@ -66,20 +71,20 @@ class DirectedGraph:
         out_edges: dict[str, list[Edge]] = {v: [] for v in self.vertices}
         in_edges: dict[str, list[Edge]] = {v: [] for v in self.vertices}
         for i, e in enumerate(self.edges):
-            loc = f"edges[{i}]"
-            if e.id in self._edge_pos:
-                raise GraphError(f"duplicate edge id '{e.id}'", loc)
-            if e.src not in self._vertex_pos:
-                raise GraphError(f"edge '{e.id}' has unknown src vertex '{e.src}'", loc)
-            if e.rng not in self._vertex_pos:
-                raise GraphError(f"edge '{e.id}' has unknown rng vertex '{e.rng}'", loc)
-            self._edge_pos[e.id] = i
-            self._edge_by_id[e.id] = e
-            out_edges[e.src].append(e)
-            in_edges[e.rng].append(e)
-            incident[e.src].append(e)
-            if not e.is_loop:
-                incident[e.rng].append(e)
+            eid, src, rng = e.id, e.src, e.rng
+            if eid in self._edge_pos:
+                raise GraphError(f"duplicate edge id '{eid}'", f"edges[{i}]")
+            if src not in self._vertex_pos:
+                raise GraphError(f"edge '{eid}' has unknown src vertex '{src}'", f"edges[{i}]")
+            if rng not in self._vertex_pos:
+                raise GraphError(f"edge '{eid}' has unknown rng vertex '{rng}'", f"edges[{i}]")
+            self._edge_pos[eid] = i
+            self._edge_by_id[eid] = e
+            out_edges[src].append(e)
+            in_edges[rng].append(e)
+            incident[src].append(e)
+            if src != rng:
+                incident[rng].append(e)
         self._incident = {v: tuple(es) for v, es in incident.items()}
         self._out = {v: tuple(es) for v, es in out_edges.items()}
         self._in = {v: tuple(es) for v, es in in_edges.items()}
@@ -152,6 +157,10 @@ class DirectedGraph:
             (e for e in self.edges if e.id in ke),
         )
 
+    @cached_property
+    def _components(self) -> "_Components":
+        return _sweep(self)
+
     def to_json(self) -> dict:
         return {
             "vertices": list(self.vertices),
@@ -168,6 +177,14 @@ class ComponentDecomposition:
 
     components: tuple[tuple[str, ...], ...]
     isolated: tuple[str, ...]
+
+
+class _Components(NamedTuple):
+    """What one union-find sweep of a graph finds, parallel to dec.components."""
+
+    dec: ComponentDecomposition
+    edge_lists: tuple[tuple[Edge, ...], ...]
+    forests: tuple[bool, ...]
 
 
 # -- parsing -------------------------------------------------------------
@@ -190,6 +207,12 @@ def graph_from_json(doc: object) -> DirectedGraph:
 
     edges = []
     for i, item in enumerate(doc["edges"]):
+        # fast path: a plain object with exactly the three fields, all strings
+        if type(item) is dict and item.keys() == _EDGE_FIELDS:
+            eid, src, rng = item["id"], item["src"], item["rng"]
+            if type(eid) is str and type(src) is str and type(rng) is str:
+                edges.append(Edge(eid, src, rng))
+                continue
         loc = f"edges[{i}]"
         if not isinstance(item, dict):
             raise GraphError("edge entry must be an object", loc)
@@ -224,11 +247,12 @@ class _UnionFind:
         self.parent = {x: x for x in items}
 
     def find(self, x: str) -> str:
+        parent = self.parent
         root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
+        while parent[root] != root:
+            root = parent[root]
+        while parent[x] != root:
+            parent[x], x = root, parent[x]
         return root
 
     def union(self, a: str, b: str) -> bool:
@@ -253,9 +277,10 @@ def is_p_simple(g: DirectedGraph) -> bool:
     """No loop edge and at most one path between any two distinct vertices.
 
     Equivalent to: no loops and no cycles, i.e. the underlying undirected
-    multigraph is a simple forest, which is what is checked here.
+    multigraph is a simple forest, which is what is checked here: every
+    component's forest bit is set (see ``component_forests``).
     """
-    return is_forest(g.vertices, g.edges)
+    return all(g._components.forests)
 
 
 def sink_first_order(g: DirectedGraph) -> list[str]:
@@ -302,22 +327,48 @@ def decompose(g: DirectedGraph) -> ComponentDecomposition:
     """Partition vertices into connected components of r(E1) ∪ s(E1) and the rest.
 
     Components are ordered by their earliest vertex in document order, and a
-    vertex carrying only loops forms its own singleton component.
+    vertex carrying only loops forms its own singleton component. The graph
+    is swept once, on the first call, and the same decomposition is returned
+    on every later one.
+    """
+    return g._components.dec
+
+
+def _sweep(g: DirectedGraph) -> _Components:
+    """One union-find pass over the edges, then one over vertices and edges.
+
+    Touched vertices are grouped in document order, so each component is
+    in document order and the components come out ordered by their first
+    vertex. A connected component with k vertices has at least k - 1
+    non-loop edges, and it is a forest (no loop, no cycle) exactly when it
+    has no more edges than that.
     """
     touched = g.non_isolated()
     uf = _UnionFind(touched)
     for e in g.edges:
-        if not e.is_loop:
+        if e.src != e.rng:
             uf.union(e.src, e.rng)
-    groups: dict[str, list[str]] = {}
+    index: dict[str, int] = {}  # vertex -> number of its component
+    roots: dict[str, int] = {}
+    members: list[list[str]] = []
     for v in touched:
-        groups.setdefault(uf.find(v), []).append(v)
-    components = sorted(
-        (tuple(members) for members in groups.values()),
-        key=lambda comp: g.vertex_position(comp[0]),
+        r = uf.find(v)
+        i = roots.get(r)
+        if i is None:
+            i = roots[r] = len(members)
+            members.append([])
+        members[i].append(v)
+        index[v] = i
+    lists: list[list[Edge]] = [[] for _ in members]
+    for e in g.edges:
+        lists[index[e.src]].append(e)
+    components = tuple(tuple(m) for m in members)
+    edge_lists = tuple(tuple(es) for es in lists)
+    return _Components(
+        ComponentDecomposition(components, tuple(v for v in g.vertices if not g._incident[v])),
+        edge_lists,
+        tuple(len(es) < len(c) for c, es in zip(components, edge_lists)),
     )
-    isolated = tuple(v for v in g.vertices if not g.incident(v))
-    return ComponentDecomposition(tuple(components), isolated)
 
 
 def truncate(g: DirectedGraph, n: int) -> tuple[DirectedGraph, frozenset[str]]:
@@ -353,12 +404,19 @@ def component_edge_lists(
 ) -> tuple[tuple[Edge, ...], ...]:
     """Edges of each component of dec = decompose(g), in document order.
 
-    The result is parallel to dec.components. It takes one pass over the
-    edges through a vertex→component map, so all lists together cost
-    O(V + E), where component_edges costs O(E) per component.
+    The result is parallel to dec.components and comes from the sweep that
+    built dec, so it costs nothing after ``decompose``.
     """
-    index = {v: i for i, comp in enumerate(dec.components) for v in comp}
-    lists: list[list[Edge]] = [[] for _ in dec.components]
-    for e in g.edges:
-        lists[index[e.src]].append(e)
-    return tuple(tuple(es) for es in lists)
+    sweep = g._components
+    if dec is not sweep.dec and dec != sweep.dec:
+        raise GraphError("the decomposition is not decompose(g) of this graph")
+    return sweep.edge_lists
+
+
+def component_forests(g: DirectedGraph) -> tuple[bool, ...]:
+    """Whether each component of decompose(g) is a forest, in component order.
+
+    The bits come from the sweep behind ``decompose``; each equals
+    ``is_forest(comp, edges)`` for that component and its edges.
+    """
+    return g._components.forests

@@ -30,8 +30,8 @@ from .graph import (
     DirectedGraph,
     Edge,
     component_edge_lists,
+    component_forests,
     decompose,
-    is_forest,
 )
 from .report import FAIL, NOT_APPLICABLE, PASS, CheckItem, Report
 
@@ -116,8 +116,9 @@ def level_decomposition(g: DirectedGraph) -> LevelDecomposition:
     its incident edges once, when it is peeled, and each round's sets are
     sorted into document order, so the cost is O(V + E log E).
     """
-    degree = {v: len(g.incident(v)) for v in g.vertices}
-    has_loop = {e.src for e in g.edges if e.is_loop}
+    incident, vertex_pos, edge_pos = g._incident, g._vertex_pos, g._edge_pos
+    degree = {v: len(es) for v, es in incident.items()}
+    has_loop = {e.src for e in g.edges if e.src == e.rng}
     removed: set[str] = set()  # edge ids peeled in earlier rounds
     peeled: set[str] = set()
     vertex_levels: list[tuple[str, ...]] = []
@@ -127,10 +128,12 @@ def level_decomposition(g: DirectedGraph) -> LevelDecomposition:
         peeled.update(queue)
         ext_edges: dict[str, Edge] = {}
         for v in queue:
-            e = next(e for e in g.incident(v) if e.id not in removed)
-            ext_edges[e.id] = e
+            for e in incident[v]:
+                if e.id not in removed:  # v's one remaining edge
+                    ext_edges[e.id] = e
+                    break
         vertex_levels.append(tuple(queue))
-        edge_levels.append(tuple(sorted(ext_edges, key=g.edge_position)))
+        edge_levels.append(tuple(sorted(ext_edges, key=edge_pos.__getitem__)))
         removed.update(ext_edges)
         # peeled vertices drop to 0 here, so only survivors can be queued
         touched: dict[str, None] = {}
@@ -140,7 +143,7 @@ def level_decomposition(g: DirectedGraph) -> LevelDecomposition:
                 touched[w] = None
         queue = sorted(
             (w for w in touched if degree[w] == 1 and w not in has_loop),
-            key=g.vertex_position,
+            key=vertex_pos.__getitem__,
         )
     return LevelDecomposition(
         tuple(vertex_levels),
@@ -151,7 +154,8 @@ def level_decomposition(g: DirectedGraph) -> LevelDecomposition:
 
 
 def _classify_members(d: LevelDecomposition, members: tuple[str, ...]) -> Classification:
-    unleveled = [v for v in members if d.level_of(v) is None]
+    levels = d._levels
+    unleveled = [v for v in members if v not in levels]
     if not unleveled:
         return Classification(ClassificationKind.ALL_LEVELS)
     if len(unleveled) == 1:
@@ -182,21 +186,13 @@ def component_classifications(
 
 
 def _component_max_level(d: LevelDecomposition, members: Iterable[str]) -> int:
-    levels = [d.level_of(v) for v in members]
-    return max((n for n in levels if n is not None), default=0)
+    levels = d._levels
+    return max((levels[v] for v in members if v in levels), default=0)
 
 
-def _higher_edges(g: DirectedGraph, d: LevelDecomposition, v: str, n: int):
-    """Incident edges whose other endpoint outranks level n (residual counts as infinite)."""
-    out = []
-    for e in g.incident(v):
-        if e.is_loop:
-            continue
-        w = e.other_endpoint(v)
-        lw = d.level_of(w)
-        if lw is None or lw > n:
-            out.append(e)
-    return out
+def _joining(incident: tuple[Edge, ...], v: str, w: str) -> list[Edge]:
+    """Non-loop edges among v's incident ones whose other endpoint is w."""
+    return [e for e in incident if e.src != e.rng and (e.rng if e.src == v else e.src) == w]
 
 
 def vertex_roles(
@@ -212,12 +208,13 @@ def vertex_roles(
     """
     if c.kind is ClassificationKind.IRREGULAR:
         raise StructureError("roles are undefined for an Irregular component")
+    levels, incident = d._levels, g._incident
     members = sorted(comp, key=g.vertex_position)
     m = _component_max_level(d, members)
     roles: dict[str, VertexRole] = {}
-    ordering = sorted(members, key=lambda v: (d.level_of(v) or math.inf, g.vertex_position(v)))
-    for v in ordering:
-        n = d.level_of(v)
+    # by level, then document order: members are in document order and sorted is stable
+    for v in sorted(members, key=lambda v: levels.get(v, math.inf)):
+        n = levels.get(v)
         if n is None:
             if v != c.center:
                 raise StructureError(
@@ -226,21 +223,22 @@ def vertex_roles(
             roles[v] = VertexRole(Role.CENTER, None)
             continue
         if n < m:
-            witnesses = _higher_edges(g, d, v, n)
+            # edges whose other endpoint outranks level n (residual counts as infinite)
+            witnesses = [
+                e
+                for e in incident[v]
+                if e.src != e.rng and levels.get(e.rng if e.src == v else e.src, math.inf) > n
+            ]
         elif c.kind is ClassificationKind.ALL_LEVELS:
-            pair = [w for w in members if d.level_of(w) == m]
+            pair = [w for w in members if levels.get(w) == m]
             if len(pair) != 2:
                 raise StructureError(
                     f"top level of an AllLevels component must hold 2 vertices, got {len(pair)}"
                 )
             other = pair[0] if pair[1] == v else pair[1]
-            witnesses = [
-                e for e in g.incident(v) if not e.is_loop and e.other_endpoint(v) == other
-            ]
+            witnesses = _joining(incident[v], v, other)
         else:
-            witnesses = [
-                e for e in g.incident(v) if not e.is_loop and e.other_endpoint(v) == c.center
-            ]
+            witnesses = _joining(incident[v], v, c.center)
         if len(witnesses) != 1:
             raise StructureError(
                 f"vertex '{v}' has {len(witnesses)} candidate witness edges, expected exactly 1 "
@@ -255,11 +253,6 @@ def vertex_roles(
 # -- structural shape report ----------------------------------------------
 
 
-def _level_or_inf(d: LevelDecomposition, v: str) -> float:
-    n = d.level_of(v)
-    return math.inf if n is None else n
-
-
 def check_structure(g: DirectedGraph, d: LevelDecomposition) -> Report:
     """Shape report with items 1, 2a, 2b, 3a, 3b, 4.
 
@@ -270,20 +263,21 @@ def check_structure(g: DirectedGraph, d: LevelDecomposition) -> Report:
     """
     applicable: dict[str, bool] = {k: False for k in ("1", "2a", "2b", "3a", "3b", "4")}
     failures: dict[str, list] = {k: [] for k in applicable}
+    levels, incident, inf = d._levels, g._incident, math.inf
 
     def neighbors_at_least(v: str, n: float, strict: bool) -> list[str]:
         seen: dict[str, None] = {}
-        for e in g.incident(v):
-            if e.is_loop:
+        for e in incident[v]:
+            w = e.rng if e.src == v else e.src
+            if w == v:  # a loop
                 continue
-            w = e.other_endpoint(v)
-            lw = _level_or_inf(d, w)
+            lw = levels.get(w, inf)
             if (lw > n) if strict else (lw >= n):
-                seen.setdefault(w, None)
+                seen[w] = None
         return list(seen)
 
     for v in g.vertices:
-        n = d.level_of(v)
+        n = levels.get(v)
         if n is None:
             continue
         applicable["1"] = True
@@ -292,15 +286,17 @@ def check_structure(g: DirectedGraph, d: LevelDecomposition) -> Report:
             failures["1"].append({"vertex": v, "level": n, "neighbors": higher_eq})
 
     dec = decompose(g)
-    for (comp, c), edges in zip(_classifications(d, dec), component_edge_lists(g, dec)):
+    for (comp, c), edges, forest in zip(
+        _classifications(d, dec), component_edge_lists(g, dec), component_forests(g)
+    ):
         m = _component_max_level(d, comp)
-        top = [v for v in comp if d.level_of(v) == m] if m else []
+        top = [v for v in comp if levels.get(v) == m] if m else []
         if c.kind in (ClassificationKind.ALL_LEVELS, ClassificationKind.LEVELS_PLUS_CENTER):
             a_key, b_key = ("2a", "2b") if c.kind is ClassificationKind.ALL_LEVELS else ("3a", "3b")
             applicable[a_key] = True
             applicable[b_key] = True
             for v in comp:
-                n = d.level_of(v)
+                n = levels.get(v)
                 if n is None or n >= m:
                     continue
                 higher = neighbors_at_least(v, n, strict=True)
@@ -309,7 +305,7 @@ def check_structure(g: DirectedGraph, d: LevelDecomposition) -> Report:
             if c.kind is ClassificationKind.ALL_LEVELS:
                 top_set = set(top)
                 joining = [
-                    e.id for e in edges if not e.is_loop and {e.src, e.rng} == top_set
+                    e.id for e in edges if e.src != e.rng and {e.src, e.rng} == top_set
                 ]
                 if len(top) != 2 or len(joining) != 1:
                     failures["2b"].append(
@@ -317,19 +313,15 @@ def check_structure(g: DirectedGraph, d: LevelDecomposition) -> Report:
                     )
             else:
                 for v in top:
-                    joining = [
-                        e.id
-                        for e in g.incident(v)
-                        if not e.is_loop and e.other_endpoint(v) == c.center
-                    ]
+                    joining = [e.id for e in _joining(incident[v], v, c.center)]
                     if len(joining) != 1:
                         failures[b_key].append(
                             {"vertex": v, "center": c.center, "joiningEdges": joining}
                         )
-        if is_forest(comp, edges):
+        if forest:
             applicable["4"] = True
             if c.kind is ClassificationKind.IRREGULAR:
-                unleveled = [v for v in comp if d.level_of(v) is None]
+                unleveled = [v for v in comp if v not in levels]
                 failures["4"].append({"component": list(comp), "unleveled": unleveled})
 
     items = []

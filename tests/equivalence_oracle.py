@@ -3,16 +3,21 @@
 It conjugates each generator's canonical matrix back through the unitary
 with two N×N×N products. The library now forms each conjugate as one
 gathered product; ``test_equivalence_oracle.py`` holds its residuals to
-within a rounding bound of these.
+within a rounding bound of these. Like the library, it attaches the
+residuals through ``_measured``, since a certificate takes none from its
+constructor or from ``dataclasses.replace``.
 """
 
 from __future__ import annotations
 
-import dataclasses
-
 import numpy as np
 
-from branchrep.alignment import AlignmentError, ConcreteRepresentation, EquivalenceCertificate
+from branchrep.alignment import (
+    AlignmentError,
+    ConcreteRepresentation,
+    EquivalenceCertificate,
+    _measured,
+)
 from branchrep.graph import DirectedGraph
 from branchrep.operators import induce, wpi_matrix
 from branchrep.report import Tolerances
@@ -56,6 +61,4 @@ def verify_equivalence(
         vertex_residuals[v] = float(
             np.linalg.norm(u_star @ target @ u - rep.vertex_matrices[v])
         )
-    return dataclasses.replace(
-        cert, edge_residuals=edge_residuals, vertex_residuals=vertex_residuals
-    )
+    return _measured(cert, edge_residuals, vertex_residuals)

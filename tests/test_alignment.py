@@ -353,6 +353,23 @@ def test_a_verified_certificate_of_an_empty_graph_passes():
     assert cert.passes()
 
 
+def test_replacing_what_was_measured_clears_the_residuals():
+    """Residuals belong to the system and unitary they were measured for, so a
+    certificate with either swapped out does not pass until measured again."""
+    g = path_graph(3)
+    rep = random_representation(g, {"v3": 2}, seed=5)
+    cert = verify_equivalence(rep, extract_branching_system(rep, align_bases(rep, g), g), g)
+    assert cert.passes()
+    for changes in ({"unitary": np.eye(rep.dim, dtype=complex)}, {"system": cert.system}):
+        swapped = dataclasses.replace(cert, **changes)
+        assert swapped.edge_residuals is None and swapped.vertex_residuals is None
+        assert not swapped.passes()
+    remeasured = verify_equivalence(rep, dataclasses.replace(cert, unitary=np.eye(rep.dim)), g)
+    assert remeasured.max_residual > 1
+    with pytest.raises(TypeError):
+        alignment.EquivalenceCertificate(cert.system, cert.unitary, edge_residuals={})
+
+
 def test_align_rejects_nan_edge_entry():
     g = path_graph(3)
     rep = nan_in_first_entry(random_representation(g, {"v3": 2}, seed=5), "e2")

@@ -10,19 +10,26 @@ import numpy as np
 import pytest
 
 from branchrep import (
+    ClassificationKind,
     Tolerances,
     align_bases,
     branching_to_json,
+    check_structure,
+    component_classifications,
     coordinate_export,
+    decompose,
     extract_branching_system,
     graph_from_json,
+    is_p_simple,
+    level_decomposition,
     random_representation,
     rep_from_json,
     rep_to_json,
     synthesize,
     verify_equivalence,
+    vertex_roles,
 )
-from branchrep import alignment, cli, structure
+from branchrep import alignment, cli, graph, structure
 from branchrep.cli import main
 from conftest import EXAMPLE_GRAPH_PATH, FIXTURES, GOLDEN, path_graph
 from test_alignment import householder_bound
@@ -141,6 +148,48 @@ def test_analyze_output_is_byte_deterministic(capsys):
 def test_analyze_matches_golden_bytes(capsys):
     _, out, _ = run(capsys, "analyze", str(EXAMPLE_GRAPH_PATH))
     assert out == (GOLDEN / "analyze_example.json").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize(
+    "graph_path, golden",
+    [
+        # a forest: item 4 applies and the roles are emitted
+        (TWO_LEAF_GRAPH_PATH, "analyze_two_leaf.json"),
+        # an undirected 4-cycle: one Irregular component, no roles, item 4 n/a
+        (DIAMOND_GRAPH_PATH, "analyze_diamond.json"),
+    ],
+)
+def test_analyze_fixture_matches_golden_bytes(capsys, graph_path, golden):
+    code, out, _ = run(capsys, "analyze", str(graph_path))
+    assert code == 0
+    assert out == (GOLDEN / golden).read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("graph_path", [EXAMPLE_GRAPH_PATH, TWO_LEAF_GRAPH_PATH])
+def test_the_structure_layer_sweeps_each_graph_once(capsys, monkeypatch, graph_path):
+    """decompose, is_p_simple, the classifications, the shape report and the
+    roles all read one union-find sweep per graph; so does ``analyze``."""
+    built = []
+
+    class CountingUnionFind(graph._UnionFind):
+        def __init__(self, items):
+            built.append(None)
+            super().__init__(items)
+
+    monkeypatch.setattr(graph, "_UnionFind", CountingUnionFind)
+    g = graph_from_json(json.loads(graph_path.read_text(encoding="utf-8")))
+    d = level_decomposition(g)
+    dec = decompose(g)
+    is_p_simple(g)
+    classes = component_classifications(g, d)
+    check_structure(g, d)
+    for (comp, c), forest in zip(classes, graph.component_forests(g)):
+        if c.kind is not ClassificationKind.IRREGULAR and forest:
+            vertex_roles(g, d, comp, c)
+    assert decompose(g) is dec
+    assert len(built) == 1
+    run(capsys, "analyze", str(graph_path))  # parses, and so sweeps, a graph of its own
+    assert len(built) == 2
 
 
 def test_analyze_truncation_marks_boundary_levels(capsys, tmp_path):
