@@ -163,10 +163,6 @@ def check_representation(
     rounds outside [0, N], or when the vertex bases or the edge images
     would stack wider than N. The complement's rank comes from
     ``_svd_rank``, which proves it without an SVD where it can.
-
-    Items iii and v share one sweep that forms each S_e·S_e* at most once;
-    their witnesses are still scanned by edge, resp. vertex, in document
-    order.
     """
     if set(rep.edge_matrices) != {e.id for e in g.edges}:
         raise RepresentationError("edge matrices do not match the graph's edges")
@@ -193,25 +189,6 @@ def check_representation(
             if not err <= tols.rep:
                 yield {**where, "error": err}
 
-    # items iii and v from one sweep over the emitters, each range product
-    # S_e·S_e* formed once and only for an item that needs it; the total is
-    # summed as sum() would, from 0
-    range_errs: dict[str, float] = {}
-    sum_errs: dict[str, float] = {}
-    for v in g.vertices:
-        out = g.out_edges(v)
-        summed = bool(out) and v not in cleared["v"]
-        total = 0
-        for e in out:
-            if not summed and e.id in cleared["iii"]:
-                continue
-            q = s[e.id] @ s[e.id].conj().T
-            if e.id not in cleared["iii"]:
-                range_errs[e.id] = float(np.abs(p[v] @ q - q).max())
-            total = total + q
-        if summed:
-            sum_errs[v] = float(np.abs(total - p[v]).max())
-
     def complement():
         try:
             rank, _ = _svd_rank(_leftover(rep, g), tols.rank, compute_uv=False)
@@ -237,16 +214,26 @@ def check_representation(
         for f in g.edges
         if e.id != f.id and (e.id, f.id) not in cleared["iv"]
     )
-    ranges = ({"edge": e.id, "error": range_errs[e.id]} for e in g.edges if e.id in range_errs)
-    sums = ({"vertex": v, "error": err} for v, err in sum_errs.items())
+
+    def ranges():
+        for e in g.edges:
+            if e.id not in cleared["iii"]:
+                q = s[e.id] @ s[e.id].conj().T
+                yield {"edge": e.id}, p[e.src] @ q - q
+
+    sums = (
+        ({"vertex": v}, sum(s[e.id] @ s[e.id].conj().T for e in g.out_edges(v)) - p[v])
+        for v in g.vertices
+        if g.out_edges(v) and v not in cleared["v"]
+    )
     return Report(
         (
             first_witness("projections", projections()),
             first_witness("i", over_tol(vertex_pairs)),
             first_witness("ii", over_tol(isometries)),
-            first_witness("iii", (w for w in ranges if not w["error"] <= tols.rep)),
+            first_witness("iii", over_tol(ranges())),
             first_witness("iv", over_tol(edge_pairs)),
-            first_witness("v", (w for w in sums if not w["error"] <= tols.rep)),
+            first_witness("v", over_tol(sums)),
             first_witness("complement", complement()),
         )
     )
@@ -272,14 +259,21 @@ def _gamma(m: int) -> float:
     return c / (1 - c)
 
 
-def _gram_bounds(blocks: list[np.ndarray], n: int) -> tuple[np.ndarray, np.ndarray]:
+def _inflation(n: int) -> float:
+    """The factor on every screen and rank-proof bound for N = n: each is a sum
+    or product of nonnegative computed values, each rounded by at most γ(n²)
+    relative to its size, as is the check's own last subtraction."""
+    return 1 + _gamma(2 * n * n + 64)
+
+
+def _gram_bounds(blocks: list[np.ndarray], n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Bounds read off one Gram matrix of the column blocks T_1, …, T_m of C^n.
 
-    Returns ``h`` and ``t``: h[a, b] ≥ ‖T_a*·T_b‖₂ for a ≠ b,
-    h[a, a] ≥ ‖T_a*·T_a − I‖₂, and t[a] = √(1 + h[a, a]) ≥ ‖T_a‖₂. Each is
-    the Frobenius norm of a block of the computed Gram matrix plus γ(n)
-    times the blocks' Frobenius norms for forming it, and the underflow
-    allowance.
+    Returns ``h``, ``t`` and ``t_fro``: h[a, b] ≥ ‖T_a*·T_b‖₂ for a ≠ b,
+    h[a, a] ≥ ‖T_a*·T_a − I‖₂, t[a] = √(1 + h[a, a]) ≥ ‖T_a‖₂ and
+    t_fro[a] ≥ ‖T_a‖_F. Each h is the Frobenius norm of a block of the
+    computed Gram matrix plus its rounding, γ(n)·t_fro[a]·t_fro[b] (see
+    ``_residual``), and the underflow allowance.
     """
     stacked = np.hstack(blocks)
     k = stacked.shape[1]
@@ -291,21 +285,23 @@ def _gram_bounds(blocks: list[np.ndarray], n: int) -> tuple[np.ndarray, np.ndarr
     t_fro = np.sqrt((stacked.real**2 + stacked.imag**2).sum(axis=0) @ owner)
     t_fro += np.sqrt(n * k) * _UNDERFLOW
     h = dev_fro + k * _UNDERFLOW + _gamma(n) * np.outer(t_fro, t_fro)
-    return h, np.sqrt(1.0 + np.diag(h))
+    return h, np.sqrt(1.0 + np.diag(h)), t_fro
 
 
 def _residual(
-    m: np.ndarray, left: np.ndarray, left_norm: float, right: np.ndarray, right_norm: float
+    m: np.ndarray, left: np.ndarray, left_fro: float, right: np.ndarray, right_fro: float
 ) -> float:
-    """An upper bound on ‖m − left·right*‖₂, the product taken exactly.
+    """An upper bound on ‖m − left·right*‖_F ≥ ‖·‖₂, the product taken exactly.
 
-    ``left_norm`` and ``right_norm`` bound the factors' 2-norms, and so the
-    rounding of the product formed here.
+    ``left_fro`` and ``right_fro`` bound the factors' Frobenius norms; the
+    rounding of the product formed here, of inner dimension k, is charged
+    γ(k)·left_fro·right_fro (Higham, §3.5), the screen's one rounding rule.
     """
     k = left.shape[1]
-    w = m - left @ right.conj().T
+    w = left @ right.conj().T
+    w -= m  # in place: the sign does not change the norm
     computed = float(np.sqrt(np.vdot(w, w).real))
-    return computed / (1 - _EPS) + _gamma(k) * k * left_norm * right_norm + len(m) * _UNDERFLOW
+    return computed / (1 - _EPS) + _gamma(k) * left_fro * right_fro + len(m) * _UNDERFLOW
 
 
 def _gaussian(n: int, k: int) -> np.ndarray:
@@ -350,9 +346,11 @@ def _pair_screen(
         iii  ‖(P_src − I)·S_e·S_e*‖₂ ≤ (‖P_src·T_e − T_e‖₂·β + ‖P_src − I‖₂·q_e)·x_e
         v    ‖Σ S_e·S_e* − P_v‖₂ ≤ ‖W_v·W_v* − P_v‖₂ + Σ (τ_e²·h_rng + 2τ_e·β·q_e + q_e²)
 
-    with ‖P_v − I‖₂ ≤ max(1, h_vv) + r_v, W_v = [T_e] over v's out-edges and
-    ‖W_v‖₂ ≤ √(Σ τ_e²). ‖P_src·T_e − T_e‖₂ (an N×N×k product per edge) and
-    ‖W_v·W_v* − P_v‖₂ (an N×K×N product per emitter) are measured as q is.
+    with ‖P_v − I‖₂ ≤ max(1, h_vv) + r_v and W_v = [T_e] over v's out-edges.
+    ‖P_src·T_e − T_e‖₂ (an N×N×k product per edge) and ‖W_v·W_v* − P_v‖₂
+    (an N×K×N one per emitter) are measured as q is, their rounding charged
+    to ‖P_v‖_F ≤ ‖B_v‖_F·β_v + r_v, ‖T_e‖_F and ‖W_v‖_F = √(Σ ‖T_e‖_F²):
+    about γ(N)·√(k_src·k_e) for P_src·T_e, not a 2-norm rule's γ(N)·N.
     Each bound also covers the rounding of what the check forms: γ(N)·p_v²
     for P_v·P_v, γ(N)·x_e² for S_e*·S_e, γ(N + out-degree)·Σ x_e² for the
     summed S_e·S_e*, and γ(N)·x_e²·(√N·‖P_src − I‖₂ + p_src·(1 + √N·γ(N)))
@@ -377,10 +375,7 @@ def _pair_screen(
         return cleared
 
     gamma = _gamma(n)
-    # every term is a sum or product of nonnegative computed values, each
-    # rounded by at most γ(n²) relative to its size; so is the check's own
-    # last subtraction, relative to the value it reports
-    inflate = 1 + _gamma(2 * n * n + 64)
+    inflate = _inflation(n)
 
     def passing(names, bound):
         return {name for name, b in zip(names, bound * inflate) if b <= tol}
@@ -399,10 +394,11 @@ def _pair_screen(
         qs, _ = np.linalg.qr(np.stack([p[v] @ omega[:, :k] for v in group]))
         by_vertex.update(zip(group, qs))
     bases = [by_vertex[v] for v in g.vertices]
-    h_i, beta = _gram_bounds(bases, n)
-    r = np.array([_residual(p[v], b, t, b, t) for v, b, t in zip(g.vertices, bases, beta)])
+    h_i, beta, beta_fro = _gram_bounds(bases, n)
+    r = np.array([_residual(p[v], b, f, b, f) for v, b, f in zip(g.vertices, bases, beta_fro)])
     h_vv = np.diag(h_i)
     p_norm = beta**2 + r
+    p_fro = beta_fro * beta + r
     cleared["i"] = pairs(g.vertices, h_i, beta, beta, r)
     cleared["projections"] = passing(
         g.vertices, beta**2 * (h_vv + 2 * r) + r**2 + r + gamma * p_norm**2
@@ -414,11 +410,11 @@ def _pair_screen(
     rng_of = [g.vertex_position(e.rng) for e in g.edges]
     src_of = [g.vertex_position(e.src) for e in g.edges]
     images = [s[e.id] @ bases[i] for e, i in zip(g.edges, rng_of)]
-    h_iv, tau = _gram_bounds(images, n)
+    h_iv, tau, tau_fro = _gram_bounds(images, n)
     c = beta[rng_of]
     q = np.array([
-        _residual(s[e.id], image, t, bases[i], beta[i])
-        for e, image, t, i in zip(g.edges, images, tau, rng_of)
+        _residual(s[e.id], image, f, bases[i], beta_fro[i])
+        for e, image, f, i in zip(g.edges, images, tau_fro, rng_of)
     ])
     x = tau * c + q
     cleared["iv"] = pairs(ids, h_iv, tau, c, q)
@@ -428,8 +424,8 @@ def _pair_screen(
 
     # ‖P_src·T_e − T_e‖₂, as the residual of T_e against the product P_src·T_e
     to_src = np.array([
-        _residual(image, p[e.src], p_norm[i], image.conj().T, t)
-        for e, image, t, i in zip(g.edges, images, tau, src_of)
+        _residual(image, p[e.src], p_fro[i], image.conj().T, f)
+        for e, image, f, i in zip(g.edges, images, tau_fro, src_of)
     ])
     off = (np.maximum(1.0, h_vv) + r)[src_of]
     rounding = gamma * x**2 * (np.sqrt(n) * off + p_norm[src_of] * (1 + np.sqrt(n) * gamma))
@@ -441,9 +437,9 @@ def _pair_screen(
     for v in emitters:
         out = [g.edge_position(e.id) for e in g.out_edges(v)]
         w = np.hstack([images[j] for j in out])
-        w_norm = float(np.sqrt(np.sum(tau[out] ** 2)))
+        w_fro = float(np.sqrt(np.sum(tau_fro[out] ** 2)))
         bound_v.append(
-            _residual(p[v], w, w_norm, w, w_norm)
+            _residual(p[v], w, w_fro, w, w_fro)
             + spread[out].sum()
             + _gamma(n + len(out)) * np.sum(x[out] ** 2)
         )
@@ -559,12 +555,14 @@ def _proved_rank(m: np.ndarray, lo: float, hi: float) -> Optional[tuple[int, np.
     dev = q.conj().T @ q - np.eye(k)
     q_fro = float(np.sqrt(np.vdot(q, q).real)) + np.sqrt(n * k) * _UNDERFLOW
     h = float(np.sqrt(np.vdot(dev, dev).real)) + k * _UNDERFLOW + _gamma(n) * q_fro**2
-    t = np.sqrt(1.0 + h)
-    r = _residual(m, q, t, q, t)
-    # the bounds' own arithmetic, as in _pair_screen
-    inflate = 1 + _gamma(2 * n * n + 64)
-    h, r = h * inflate, r * inflate
+    r = _residual(m, q, q_fro, q, q_fro)
+    h, r = h * _inflation(n), r * _inflation(n)
     return (k, q) if r < lo and (k == 0 or 1 - h - r > hi) else None
+
+
+def _refuse_band(rank_tol: float) -> tuple[float, float]:
+    """The open band (lo, hi) of singular values whose rank is refused, not guessed."""
+    return rank_tol * 1e-2, rank_tol * 1e2
 
 
 def _svd_rank(
@@ -582,7 +580,7 @@ def _svd_rank(
     does not does ``_svd_fallback`` decide, as it would have without the
     proof.
     """
-    proved = _proved_rank(m, rank_tol * 1e-2, rank_tol * 1e2)
+    proved = _proved_rank(m, *_refuse_band(rank_tol))
     if proved is None:
         return _svd_fallback(m, rank_tol, compute_uv)
     rank, q = proved
@@ -597,7 +595,7 @@ def _svd_fallback(
     ``compute_uv``."""
     if not np.isfinite(m).all():
         raise DegenerateRankError("matrix has non-finite entries; rank is undefined")
-    lo, hi = rank_tol * 1e-2, rank_tol * 1e2
+    lo, hi = _refuse_band(rank_tol)
     try:
         if compute_uv:
             u, sv, _ = np.linalg.svd(m)

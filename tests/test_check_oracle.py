@@ -454,17 +454,58 @@ def _tree_150():
     return g, random_representation(g, {v: 3 for v in g.sinks()}, complement_dim=3, seed=5)
 
 
-def test_screen_clears_every_pair_of_an_honest_large_tree():
+@pytest.mark.parametrize("tol", [1e-10, 1e-12])
+def test_screen_clears_every_pair_of_an_honest_large_tree(tol):
+    """At the default tolerance and a hundred times below it. Item iii's
+    P_src·T_e is charged γ(N)·‖P_src‖_F·‖T_e‖_F for its rounding; a 2-norm
+    rule's γ(N)·N·‖P_src‖₂·‖T_e‖₂ is over 1e-12 at N = 150, so that rule
+    clears no item-iii edge there."""
     g, rep = _tree_150()
     assert rep.dim == 150 and len(g.vertices) == 30
-    cleared = alignment._pair_screen(rep, g, Tolerances().rep)
+    cleared = alignment._pair_screen(rep, g, tol)
     assert cleared["i"] >= set(combinations(g.vertices, 2))
     ids = [e.id for e in g.edges]
     assert cleared["iv"] == {(e, f) for e in ids for f in ids if e != f}
     assert cleared["projections"] == set(g.vertices)
     assert cleared["ii"] == cleared["iii"] == set(ids)
     assert cleared["v"] == {v for v in g.vertices if g.out_edges(v)}
-    assert check_representation(rep, g).passed
+    assert check_representation(rep, g, Tolerances(rep=tol)).passed
+
+
+def _computed_error(rep, g, item, name):
+    """The largest entry of the deviation ``check_representation`` forms for
+    one name of one item, formed as it forms it."""
+    p, s = rep.vertex_matrices, rep.edge_matrices
+    if item == "projections":
+        deviation = p[name] @ p[name] - p[name]
+    elif item == "i":
+        deviation = p[name[0]] @ p[name[1]]
+    elif item == "ii":
+        deviation = s[name].conj().T @ s[name] - p[g.edge(name).rng]
+    elif item == "iii":
+        q = s[name] @ s[name].conj().T
+        deviation = p[g.edge(name).src] @ q - q
+    elif item == "iv":
+        deviation = s[name[0]].conj().T @ s[name[1]]
+    else:
+        deviation = sum(s[e.id] @ s[e.id].conj().T for e in g.out_edges(name)) - p[name]
+    return float(np.abs(deviation).max())
+
+
+@settings(max_examples=oracle_examples(150), deadline=None)
+@given(dense_representations())
+def test_every_name_the_screen_clears_is_within_tolerance(case):
+    """Soundness of the screen: for every name it clears, of every item, the
+    deviation the check would form has its largest entry within
+    ``tols.rep``. Report equality with the original scan cannot show this
+    when an earlier witness of the same item masks a wrongly cleared name."""
+    g, rep, tols = case
+    cleared = alignment._pair_screen(rep, g, tols.rep)
+    if cleared is None:
+        return
+    for item, names in cleared.items():
+        for name in names:
+            assert _computed_error(rep, g, item, name) <= tols.rep, (item, name)
 
 
 @pytest.mark.parametrize("item", ["i", "iv"])
@@ -639,8 +680,8 @@ def test_rank_proof_that_overflows_leaves_the_rank_to_the_svd():
 
 def test_residual_bound_covers_the_rounding_of_its_product():
     """m is the computed L·R*, so the measured part of the bound is zero;
-    the exact ‖m − L·R*‖, which the rounding makes nonzero, must still be
-    covered, and Frobenius ≥ 2-norm."""
+    the exact ‖m − L·R*‖_F, which the rounding makes nonzero, must still be
+    covered by the rounding charged to the factors' Frobenius norms."""
     rng = np.random.default_rng(5)
     left = rng.standard_normal((20, 8)) * 3.0
     right = rng.standard_normal((20, 8)) / 7.0
@@ -653,7 +694,7 @@ def test_residual_bound_covers_the_rounding_of_its_product():
     frobenius_sq = sum(d * d for row in exact for d in row)
     assert frobenius_sq > 0
     bound = alignment._residual(
-        m, left, np.linalg.norm(left, 2) * (1 + 1e-9), right, np.linalg.norm(right, 2) * (1 + 1e-9)
+        m, left, np.linalg.norm(left) * (1 + 1e-9), right, np.linalg.norm(right) * (1 + 1e-9)
     )
     assert Fraction(bound) ** 2 >= frobenius_sq
 

@@ -745,6 +745,22 @@ def test_verify_two_leaf_representation_matches_golden_bytes(capsys):
     assert out == (GOLDEN / "verify_two_leaf_rep.json").read_text(encoding="utf-8")
 
 
+def test_verify_escaping_edge_matches_golden_bytes(capsys):
+    """The axis-aligned two_leaf representation (N = 5, a complement of 1)
+    with e1 sending a's index to the complement's: its image leaves r's
+    range (item iii) and r's range is no longer filled (item v). Every entry
+    is 0 or 1, so both errors are exactly 1.0 under any BLAS."""
+    code, out, _ = run(
+        capsys,
+        "verify",
+        str(FIXTURES / "two_leaf_escape_rep.json"),
+        "--graph",
+        str(TWO_LEAF_GRAPH_PATH),
+    )
+    assert code == 1
+    assert out == (GOLDEN / "verify_two_leaf_escape_rep.json").read_text(encoding="utf-8")
+
+
 # -- align -----------------------------------------------------------------------
 
 
