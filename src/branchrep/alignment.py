@@ -14,7 +14,6 @@ applies: parallel edges and undirected cycles break nothing.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import chain, combinations
 from typing import Mapping, Optional
@@ -149,20 +148,20 @@ def check_representation(
     A screen first builds one orthonormal basis per vertex range and forms
     one Gram matrix of the stacked vertex bases and one of the stacked edge
     images. From these, measured residuals and Higham's rounding bounds it
-    proves, per generator for the projections item and items ii, iii and v
-    and per pair for items i and iv, that the largest entry the check would
-    compute is within ``tols.rep`` (see ``_pair_screen``); that costs
-    O((V + E)·N²·k) plus about two N×N×N products' worth of thin ones.
-    Only what it cannot clear gets its N×N products, in the same order as
-    before, so the first witness and its float value are unchanged. Self-
-    adjointness costs O(N²) and is always measured; a vertex that fails it
-    gets its idempotency product too, for the witness. The bounds hold for
-    any computed basis, so a poor basis or a dishonest input can only leave
-    generators to the exact products. The screen is skipped, and everything
-    gets its products, when an entry is non-finite, when a vertex trace
-    rounds outside [0, N], or when the vertex bases or the edge images
-    would stack wider than N. The complement's rank comes from
-    ``_svd_rank``, which proves it without an SVD where it can.
+    bounds, per generator for the projections item and items ii, iii and v
+    and per pair for items i and iv, the largest entry the check would
+    compute (see ``_pair_screen``); that costs O((V + E)·N²·k) plus about
+    two N×N×N products' worth of thin ones. A name whose bound is within
+    ``tols.rep`` is cleared; only the others get their N×N products, in the
+    same order as before, so the first witness and its float value are
+    unchanged. The projections bound covers self-adjointness as well as
+    idempotency, so a cleared vertex forms neither P_v − P_v* nor P_v·P_v.
+    The bounds hold for any computed basis, so a poor basis or a dishonest
+    input can only leave generators to the exact products. The screen is
+    skipped, and everything gets its products, when an entry is non-finite,
+    when a vertex trace rounds outside [0, N], or when the vertex bases or
+    the edge images would stack wider than N. The complement's rank comes
+    from ``_svd_rank``, which proves it without an SVD where it can.
     """
     if set(rep.edge_matrices) != {e.id for e in g.edges}:
         raise RepresentationError("edge matrices do not match the graph's edges")
@@ -171,13 +170,17 @@ def check_representation(
 
     p = rep.vertex_matrices
     s = rep.edge_matrices
-    cleared = _pair_screen(rep, g, tols.rep) or defaultdict(set)
+    bounds = _pair_screen(rep, g)
+
+    def cleared(item, *at):
+        # at: a generator's document position, or a pair's two
+        return bounds is not None and bounds[item][at] <= tols.rep
 
     def projections():
-        for v in g.vertices:
-            herm = float(np.abs(p[v] - p[v].conj().T).max())
-            if v in cleared["projections"] and herm <= tols.rep:
+        for i, v in enumerate(g.vertices):
+            if cleared("projections", i):
                 continue
+            herm = float(np.abs(p[v] - p[v].conj().T).max())
             idem = float(np.abs(p[v] @ p[v] - p[v]).max())
             if not (idem <= tols.rep and herm <= tols.rep):
                 yield {"vertex": v, "idempotencyError": idem, "selfAdjointnessError": herm}
@@ -200,31 +203,31 @@ def check_representation(
 
     vertex_pairs = (
         ({"vertices": [a, b]}, p[a] @ p[b])
-        for a, b in combinations(g.vertices, 2)
-        if (a, b) not in cleared["i"]
+        for (i, a), (j, b) in combinations(enumerate(g.vertices), 2)
+        if not cleared("i", i, j)
     )
     isometries = (
         ({"edge": e.id}, s[e.id].conj().T @ s[e.id] - p[e.rng])
-        for e in g.edges
-        if e.id not in cleared["ii"]
+        for i, e in enumerate(g.edges)
+        if not cleared("ii", i)
     )
     edge_pairs = (
         ({"edges": [e.id, f.id]}, s[e.id].conj().T @ s[f.id])
-        for e in g.edges
-        for f in g.edges
-        if e.id != f.id and (e.id, f.id) not in cleared["iv"]
+        for i, e in enumerate(g.edges)
+        for j, f in enumerate(g.edges)
+        if i != j and not cleared("iv", i, j)
     )
 
     def ranges():
-        for e in g.edges:
-            if e.id not in cleared["iii"]:
+        for i, e in enumerate(g.edges):
+            if not cleared("iii", i):
                 q = s[e.id] @ s[e.id].conj().T
                 yield {"edge": e.id}, p[e.src] @ q - q
 
     sums = (
         ({"vertex": v}, sum(s[e.id] @ s[e.id].conj().T for e in g.out_edges(v)) - p[v])
-        for v in g.vertices
-        if g.out_edges(v) and v not in cleared["v"]
+        for i, v in enumerate(g.vertices)
+        if g.out_edges(v) and not cleared("v", i)
     )
     return Report(
         (
@@ -310,17 +313,20 @@ def _gaussian(n: int, k: int) -> np.ndarray:
 
 
 def _pair_screen(
-    rep: ConcreteRepresentation, g: DirectedGraph, tol: float
-) -> Optional[dict[str, set]]:
-    """The generators, and pairs of them, that provably pass each relation item.
+    rep: ConcreteRepresentation, g: DirectedGraph
+) -> Optional[dict[str, np.ndarray]]:
+    """Upper bounds, per relation item, on the largest entry that
+    ``check_representation`` would compute for each generator or pair.
 
-    Keyed by item: 'projections' and 'v' hold vertices, 'ii' and 'iii'
-    edges, 'i' vertex pairs and 'iv' ordered edge pairs. A name is in an
-    item's set only when an upper bound on the largest entry that
-    ``check_representation`` would compute for it is at most ``tol``.
-    None means the screen is skipped: an entry is non-finite, a vertex trace
-    rounds outside [0, N], or the vertex bases or the edge images stack
-    wider than N.
+    Keyed by item, each a float array indexed by document position:
+    'projections', 'ii', 'iii' and 'v' by vertex, edge, edge and vertex, 'i'
+    by a pair of vertex positions and 'iv' by an ordered pair of edge
+    positions. The diagonals of 'i' and 'iv' are inf, as a generator is not
+    paired with itself, and so is 'v' at a vertex with no out-edge, which
+    has no item v. The check clears a name whose bound is within its
+    tolerance. None means the screen is skipped: the graph has no vertex,
+    an entry is non-finite, a vertex trace rounds outside [0, N], or the
+    vertex bases or the edge images stack wider than N.
 
     Each vertex gets an orthonormal B_v, the Q of P_v·Ω for a fixed-seed
     complex Gaussian Ω with k_v = round(Re tr P_v) columns (a randomized
@@ -347,6 +353,9 @@ def _pair_screen(
         v    ‖Σ S_e·S_e* − P_v‖₂ ≤ ‖W_v·W_v* − P_v‖₂ + Σ (τ_e²·h_rng + 2τ_e·β·q_e + q_e²)
 
     with ‖P_v − I‖₂ ≤ max(1, h_vv) + r_v and W_v = [T_e] over v's out-edges.
+    The projections bound also covers self-adjointness: ‖P_v − P_v*‖₂ ≤
+    2‖P_v − B_v·B_v*‖₂ ≤ 2r_v ≤ β_v²·2r_v, since β_v = √(1 + h_vv) ≥ 1,
+    and the inflation covers the one rounding of each entry of P_v − P_v*.
     ‖P_src·T_e − T_e‖₂ (an N×N×k product per edge) and ‖W_v·W_v* − P_v‖₂
     (an N×K×N one per emitter) are measured as q is, their rounding charged
     to ‖P_v‖_F ≤ ‖B_v‖_F·β_v + r_v, ‖T_e‖_F and ‖W_v‖_F = √(Σ ‖T_e‖_F²):
@@ -361,7 +370,7 @@ def _pair_screen(
     p = rep.vertex_matrices
     s = rep.edge_matrices
     n = rep.dim
-    if not all(np.isfinite(m).all() for m in (*p.values(), *s.values())):
+    if not g.vertices or not all(np.isfinite(m).all() for m in (*p.values(), *s.values())):
         return None
     traces = np.array([np.trace(p[v]).real for v in g.vertices])
     if not np.all((-0.5 < traces) & (traces < n + 0.5)):
@@ -369,23 +378,17 @@ def _pair_screen(
     ranks = dict(zip(g.vertices, np.rint(traces).astype(int).tolist()))
     if sum(ranks.values()) > n or sum(ranks[e.rng] for e in g.edges) > n:
         return None
-    items = ("projections", "i", "ii", "iii", "iv", "v")
-    cleared: dict[str, set] = {item: set() for item in items}
-    if not g.vertices:
-        return cleared
 
     gamma = _gamma(n)
     inflate = _inflation(n)
 
-    def passing(names, bound):
-        return {name for name, b in zip(names, bound * inflate) if b <= tol}
-
-    def pairs(names, h, t, c, q):
+    def pairs(h, t, c, q):
         x = t * c + q
         bound = np.outer(c, c) * h + np.outer(c * t, q) + np.outer(q, x)
         bound += gamma * np.outer(x, x)
         bound *= inflate
-        return {(names[a], names[b]) for a, b in zip(*np.nonzero(bound <= tol)) if a != b}
+        np.fill_diagonal(bound, np.inf)
+        return bound
 
     omega = _gaussian(n, max(ranks.values()))
     by_vertex = {}
@@ -399,14 +402,15 @@ def _pair_screen(
     h_vv = np.diag(h_i)
     p_norm = beta**2 + r
     p_fro = beta_fro * beta + r
-    cleared["i"] = pairs(g.vertices, h_i, beta, beta, r)
-    cleared["projections"] = passing(
-        g.vertices, beta**2 * (h_vv + 2 * r) + r**2 + r + gamma * p_norm**2
-    )
+    bounds = {
+        "projections": (beta**2 * (h_vv + 2 * r) + r**2 + r + gamma * p_norm**2) * inflate,
+        "i": pairs(h_i, beta, beta, r),
+    }
+    bound_v = np.full(len(g.vertices), np.inf)
     if not g.edges:
-        return cleared
+        empty = {"ii": np.empty(0), "iii": np.empty(0), "iv": np.empty((0, 0))}
+        return {**bounds, **empty, "v": bound_v}
 
-    ids = [e.id for e in g.edges]
     rng_of = [g.vertex_position(e.rng) for e in g.edges]
     src_of = [g.vertex_position(e.src) for e in g.edges]
     images = [s[e.id] @ bases[i] for e, i in zip(g.edges, rng_of)]
@@ -417,10 +421,10 @@ def _pair_screen(
         for e, image, f, i in zip(g.edges, images, tau_fro, rng_of)
     ])
     x = tau * c + q
-    cleared["iv"] = pairs(ids, h_iv, tau, c, q)
-    cleared["ii"] = passing(
-        ids, c**2 * np.diag(h_iv) + r[rng_of] + 2 * c * tau * q + q**2 + gamma * x**2
-    )
+    bounds["iv"] = pairs(h_iv, tau, c, q)
+    bounds["ii"] = (
+        c**2 * np.diag(h_iv) + r[rng_of] + 2 * c * tau * q + q**2 + gamma * x**2
+    ) * inflate
 
     # ‖P_src·T_e − T_e‖₂, as the residual of T_e against the product P_src·T_e
     to_src = np.array([
@@ -429,22 +433,21 @@ def _pair_screen(
     ])
     off = (np.maximum(1.0, h_vv) + r)[src_of]
     rounding = gamma * x**2 * (np.sqrt(n) * off + p_norm[src_of] * (1 + np.sqrt(n) * gamma))
-    cleared["iii"] = passing(ids, (to_src * c + off * q) * x + rounding)
+    bounds["iii"] = ((to_src * c + off * q) * x + rounding) * inflate
 
     spread = tau**2 * h_vv[rng_of] + 2 * tau * c * q + q**2
-    emitters = [v for v in g.vertices if g.out_edges(v)]
-    bound_v = []
-    for v in emitters:
+    for i, v in enumerate(g.vertices):
         out = [g.edge_position(e.id) for e in g.out_edges(v)]
-        w = np.hstack([images[j] for j in out])
-        w_fro = float(np.sqrt(np.sum(tau_fro[out] ** 2)))
-        bound_v.append(
-            _residual(p[v], w, w_fro, w, w_fro)
-            + spread[out].sum()
-            + _gamma(n + len(out)) * np.sum(x[out] ** 2)
-        )
-    cleared["v"] = passing(emitters, np.array(bound_v))
-    return cleared
+        if out:
+            w = np.hstack([images[j] for j in out])
+            w_fro = float(np.sqrt(np.sum(tau_fro[out] ** 2)))
+            bound_v[i] = (
+                _residual(p[v], w, w_fro, w, w_fro)
+                + spread[out].sum()
+                + _gamma(n + len(out)) * np.sum(x[out] ** 2)
+            ) * inflate
+    bounds["v"] = bound_v
+    return bounds
 
 
 # -- random models -----------------------------------------------------------
@@ -521,7 +524,7 @@ def _leftover(rep: ConcreteRepresentation, g: DirectedGraph) -> np.ndarray:
     """The identity minus every vertex projection, subtracted in document order."""
     leftover = np.eye(rep.dim, dtype=complex)
     for v in g.vertices:
-        leftover = leftover - rep.vertex_matrices[v]
+        leftover -= rep.vertex_matrices[v]
     return leftover
 
 
@@ -560,11 +563,6 @@ def _proved_rank(m: np.ndarray, lo: float, hi: float) -> Optional[tuple[int, np.
     return (k, q) if r < lo and (k == 0 or 1 - h - r > hi) else None
 
 
-def _refuse_band(rank_tol: float) -> tuple[float, float]:
-    """The open band (lo, hi) of singular values whose rank is refused, not guessed."""
-    return rank_tol * 1e-2, rank_tol * 1e2
-
-
 def _svd_rank(
     m: np.ndarray, rank_tol: float, compute_uv: bool
 ) -> tuple[int, Optional[np.ndarray]]:
@@ -576,26 +574,19 @@ def _svd_rank(
     clearly not, so the rank is refused with DegenerateRankError rather than
     guessed; so is the rank of a matrix with a non-finite entry or on which
     the SVD fails. The rank, and the basis, come from ``_proved_rank`` where
-    it proves them (it proves nothing on a non-finite entry); only when it
-    does not does ``_svd_fallback`` decide, as it would have without the
-    proof.
+    it proves them (it proves nothing on a non-finite entry). Only where it
+    does not is an SVD taken, once: values only, or with the left singular
+    vectors of the counted singular values when ``compute_uv``. That SVD
+    decides as it would have without the proof, and a refusal quotes its
+    digits.
     """
-    proved = _proved_rank(m, *_refuse_band(rank_tol))
-    if proved is None:
-        return _svd_fallback(m, rank_tol, compute_uv)
-    rank, q = proved
-    return rank, q if compute_uv else None
-
-
-def _svd_fallback(
-    m: np.ndarray, rank_tol: float, compute_uv: bool
-) -> tuple[int, Optional[np.ndarray]]:
-    """``_svd_rank``'s answer from an SVD alone: values only, or with the
-    left singular vectors of the counted singular values when
-    ``compute_uv``."""
+    lo, hi = rank_tol * 1e-2, rank_tol * 1e2
+    proved = _proved_rank(m, lo, hi)
+    if proved is not None:
+        rank, q = proved
+        return rank, q if compute_uv else None
     if not np.isfinite(m).all():
         raise DegenerateRankError("matrix has non-finite entries; rank is undefined")
-    lo, hi = _refuse_band(rank_tol)
     try:
         if compute_uv:
             u, sv, _ = np.linalg.svd(m)
@@ -645,15 +636,12 @@ def align_bases(
     The construction applies exactly to graphs with no directed cycle, the
     graphs ``sink_first_order`` can order; NotApplicableError says a graph
     has one, before any rank is read. Every vertex's projection is then
-    read, in document order, through ``_svd_rank``: its rank, and for a sink
-    or an isolated vertex a free basis of its range, come from the rank
-    proof's thin QR where ``_proved_rank`` proves them, as it does on
-    honest input of moderate rank. Where it fails, an SVD decides: a full
-    one for a sink or an isolated vertex, whose basis is kept, and a
-    values-only one for an emitter, which keeps only the rank; when that
-    refuses the rank, the full SVD is taken and decides, so a refusal
-    quotes the singular values a full SVD gives. Vertices are settled in
-    the construction order:
+    read, in document order, through ``_svd_basis``: its rank and a free
+    basis of its range come from the rank proof's thin QR where
+    ``_proved_rank`` proves them, as it does on honest input of moderate
+    rank, and from one full SVD where it fails, whose digits word any
+    refusal. A sink or an isolated vertex keeps the basis, an emitter only
+    its width, the rank. Vertices are settled in the construction order:
     an emitter's block is S_e·B_rng(e) for its out-edges e, side by side in
     document order, which must have that rank. Isolated vertices keep their
     free basis unchecked, and the complement gets one the same way as a
@@ -665,14 +653,8 @@ def align_bases(
 
     free = {}  # a sink's or isolated vertex's free basis, an emitter's rank
     for v in g.vertices:
-        m = rep.vertex_matrices[v]
-        if g.out_edges(v):
-            try:
-                free[v], _ = _svd_rank(m, tols.rank, compute_uv=False)
-            except DegenerateRankError:  # the full SVD words a refusal
-                free[v], _ = _svd_fallback(m, tols.rank, compute_uv=True)
-        else:
-            free[v] = _svd_basis(m, tols.rank)
+        basis = _svd_basis(rep.vertex_matrices[v], tols.rank)
+        free[v] = basis.shape[1] if g.out_edges(v) else basis
     vertex_vecs: dict[str, np.ndarray] = {}
     edge_offsets: dict[str, int] = {}
     for v in order:

@@ -304,6 +304,8 @@ def branching_from_json(doc: object) -> DiscreteBranchingSystem:
                 key = int(a)
             except ValueError:
                 raise BranchingError(f"f[{e!r}] has non-integer domain key {a!r}") from None
+            if str(key) != a:  # int() also reads "02", "+2", " 2" and non-ASCII digits
+                raise BranchingError(f"f[{e!r}] has domain key {a!r}; write it as '{key}'")
             if not isinstance(b, int) or isinstance(b, bool):
                 raise BranchingError(f"f[{e!r}][{a}] must be an integer")
             parsed[key] = b
@@ -318,6 +320,8 @@ def branching_from_json(doc: object) -> DiscreteBranchingSystem:
                 idx = int(k)
             except ValueError:
                 raise BranchingError(f"weights has non-integer key {k!r}") from None
+            if str(idx) != k:
+                raise BranchingError(f"weights has key {k!r}; write it as '{idx}'")
             if isinstance(w, bool) or not isinstance(w, (int, float)):
                 raise BranchingError(f"weights[{k}] must be a number")
             try:

@@ -443,8 +443,23 @@ def test_check_representation_matches_original(case):
     if _all_finite(rep):
         _same(report, oracle.check_representation(rep, g, tols.rep))
     else:
-        assert alignment._pair_screen(rep, g, tols.rep) is None
+        assert alignment._pair_screen(rep, g) is None
         assert not report.passed
+
+
+def _cleared(rep, g, tol):
+    """Per item, the names whose ``_pair_screen`` bound is within tol: a
+    generator's id, or a pair of them; None when the screen is skipped."""
+    bounds = alignment._pair_screen(rep, g)
+    if bounds is None:
+        return None
+    ids = [e.id for e in g.edges]
+    cleared = {}
+    for item, bound in bounds.items():
+        names = g.vertices if item in ("projections", "i", "v") else ids
+        found = (tuple(names[i] for i in at) for at in zip(*np.nonzero(bound <= tol)))
+        cleared[item] = {at if bound.ndim == 2 else at[0] for at in found}
+    return cleared
 
 
 def _tree_150():
@@ -462,7 +477,7 @@ def test_screen_clears_every_pair_of_an_honest_large_tree(tol):
     clears no item-iii edge there."""
     g, rep = _tree_150()
     assert rep.dim == 150 and len(g.vertices) == 30
-    cleared = alignment._pair_screen(rep, g, tol)
+    cleared = _cleared(rep, g, tol)
     assert cleared["i"] >= set(combinations(g.vertices, 2))
     ids = [e.id for e in g.edges]
     assert cleared["iv"] == {(e, f) for e in ids for f in ids if e != f}
@@ -497,15 +512,20 @@ def _computed_error(rep, g, item, name):
 def test_every_name_the_screen_clears_is_within_tolerance(case):
     """Soundness of the screen: for every name it clears, of every item, the
     deviation the check would form has its largest entry within
-    ``tols.rep``. Report equality with the original scan cannot show this
-    when an earlier witness of the same item masks a wrongly cleared name."""
+    ``tols.rep``, and a vertex cleared for the projections item is also
+    self-adjoint within it, as the check does not measure that there.
+    Report equality with the original scan cannot show this when an earlier
+    witness of the same item masks a wrongly cleared name."""
     g, rep, tols = case
-    cleared = alignment._pair_screen(rep, g, tols.rep)
+    cleared = _cleared(rep, g, tols.rep)
     if cleared is None:
         return
     for item, names in cleared.items():
         for name in names:
             assert _computed_error(rep, g, item, name) <= tols.rep, (item, name)
+    for v in cleared["projections"]:
+        p = rep.vertex_matrices[v]
+        assert np.abs(p - p.conj().T).max() <= tols.rep, v
 
 
 @pytest.mark.parametrize("item", ["i", "iv"])
@@ -527,7 +547,7 @@ def test_planted_pair_is_reported_as_the_original_reports_it(item, factor):
     if factor < 1:
         assert report.item(item).status == "pass"
     else:
-        assert pair not in alignment._pair_screen(rep, g, tols.rep)[item]
+        assert pair not in _cleared(rep, g, tols.rep)[item]
         witness = report.item(item).witness
         assert witness[{"i": "vertices", "iv": "edges"}[item]] == list(pair)
         assert witness["error"] > tols.rep
@@ -553,7 +573,7 @@ def test_planted_defect_is_reported_as_the_original_reports_it(defect, factor):
         assert report.item(item).status == "pass"
     else:
         named = {"projections": e.rng, "ii": e.id, "iii": e.id, "v": e.src}[item]
-        assert named not in alignment._pair_screen(rep, g, tols.rep)[item]
+        assert named not in _cleared(rep, g, tols.rep)[item]
         witness = report.item(item).witness
         assert witness["edge" if item in ("ii", "iii") else "vertex"] == named
         if item == "projections":
@@ -561,6 +581,38 @@ def test_planted_defect_is_reported_as_the_original_reports_it(defect, factor):
             assert report.item("ii").witness["edge"] == e.id
         else:
             assert witness["error"] > tols.rep
+
+
+@pytest.mark.parametrize("tol", [1e-10, 1e-6])
+@pytest.mark.parametrize("factor", [0.5, 1.2])
+def test_a_skew_plant_is_cleared_only_when_self_adjoint_within_tolerance(factor, tol):
+    """P_v + c·(E_ij − E_ji) for two indices i, j of a sink's axis-aligned
+    block, with 2c = factor·tol: self-adjointness moves by 2c, idempotency
+    by c only, so at 1.2 self-adjointness alone fails the item. The range
+    finder's basis still spans range(P_v), so the residual r_v is about
+    √2·c, under the tolerance: a projections bound that charged r_v but not
+    the 2β_v²·r_v that covers ‖P_v − P_v*‖₂ would clear the vertex, and the
+    check, which measures neither quantity for a cleared vertex, would pass
+    it."""
+    g, _ = _tree_150()
+    rep = random_representation(
+        g, {v: 3 for v in g.sinks()}, complement_dim=3, seed=5, axis_aligned=True
+    )
+    v = g.sinks()[0]
+    i, j = np.flatnonzero(np.diag(rep.vertex_matrices[v]).real > 0.5)[:2]
+    m = rep.vertex_matrices[v].copy()
+    m[i, j] += factor * tol / 2
+    m[j, i] -= factor * tol / 2
+    rep = dataclasses.replace(rep, vertex_matrices={**rep.vertex_matrices, v: m})
+    report = check_representation(rep, g, Tolerances(rep=tol))
+    _same(report, oracle.check_representation(rep, g, tol))
+    if factor < 1:
+        assert report.item("projections").status == "pass"
+    else:
+        assert v not in _cleared(rep, g, tol)["projections"]
+        witness = report.item("projections").witness
+        assert witness["vertex"] == v
+        assert witness["idempotencyError"] <= tol < witness["selfAdjointnessError"]
 
 
 # -- the rank proof ---------------------------------------------------------------
@@ -773,5 +825,5 @@ def _skip_cases():
 )
 def test_screen_is_skipped_and_reports_match_the_original(why):
     g, rep = _skip_cases()[why]
-    assert alignment._pair_screen(rep, g, Tolerances().rep) is None
+    assert alignment._pair_screen(rep, g) is None
     _same(check_representation(rep, g), oracle.check_representation(rep, g))

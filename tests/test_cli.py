@@ -761,6 +761,23 @@ def test_verify_escaping_edge_matches_golden_bytes(capsys):
     assert out == (GOLDEN / "verify_two_leaf_escape_rep.json").read_text(encoding="utf-8")
 
 
+def test_verify_oblique_projection_matches_golden_bytes(capsys):
+    """The axis-aligned two_leaf representation (N = 5, a complement of 1)
+    with P_a = E₂₂ + E₂₄, which is idempotent but not self-adjoint: the
+    projections item fails on self-adjointness alone, and item ii on
+    S_e1*·S_e1 − P_a. Every entry is 0 or 1, so each error is exact under
+    any BLAS."""
+    code, out, _ = run(
+        capsys,
+        "verify",
+        str(FIXTURES / "two_leaf_oblique_rep.json"),
+        "--graph",
+        str(TWO_LEAF_GRAPH_PATH),
+    )
+    assert code == 1
+    assert out == (GOLDEN / "verify_two_leaf_oblique_rep.json").read_text(encoding="utf-8")
+
+
 # -- align -----------------------------------------------------------------------
 
 
@@ -1077,6 +1094,26 @@ def test_huge_integer_weight_exits_2(tmp_path, command):
     result = _run_module(command, spath, "--graph", gpath)
     assert result.returncode == 2 and result.stdout == ""
     assert result.stderr == "error: weights[1] is too large for a float\n"
+
+
+# "01" has a leading zero and "١" is ARABIC-INDIC DIGIT ONE: int() reads
+# both as 1, so each would silently stand for, or collide with, the key "1"
+@pytest.mark.parametrize("key", ["01", "\u0661"])
+@pytest.mark.parametrize("field", ["f", "weights"])
+@pytest.mark.parametrize("command", ["induce", "verify"])
+def test_integer_key_not_written_canonically_exits_2(tmp_path, command, field, key):
+    gpath = write_json(tmp_path / "g.json", SINGLE_EDGE_DOC)
+    doc = branching_to_json(synthesize(graph_from_json(SINGLE_EDGE_DOC), {"v": 1}))
+    if field == "f":
+        doc["f"]["e"] = {key: 0}
+        where = "f['e'] has domain key"
+    else:
+        doc["weights"] = {"0": 1.0, key: 4.0}
+        where = "weights has key"
+    spath = write_json(tmp_path / "bs.json", doc)
+    result = _run_module(command, spath, "--graph", gpath)
+    assert result.returncode == 2 and result.stdout == ""
+    assert result.stderr == f"error: {where} {key!r}; write it as '1'\n"
 
 
 @pytest.mark.parametrize("command", ["verify", "align"])
