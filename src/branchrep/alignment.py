@@ -325,8 +325,9 @@ def _pair_screen(
     paired with itself, and so is 'v' at a vertex with no out-edge, which
     has no item v. The check clears a name whose bound is within its
     tolerance. None means the screen is skipped: the graph has no vertex,
-    an entry is non-finite, a vertex trace rounds outside [0, N], or the
-    vertex bases or the edge images stack wider than N.
+    a matrix's entry sum is non-finite (as it is whenever an entry is), a
+    vertex trace rounds outside [0, N], or the vertex bases or the edge
+    images stack wider than N.
 
     Each vertex gets an orthonormal B_v, the Q of P_v·Ω for a fixed-seed
     complex Gaussian Ω with k_v = round(Re tr P_v) columns (a randomized
@@ -370,8 +371,12 @@ def _pair_screen(
     p = rep.vertex_matrices
     s = rep.edge_matrices
     n = rep.dim
-    if not g.vertices or not all(np.isfinite(m).all() for m in (*p.values(), *s.values())):
+    if not g.vertices:
         return None
+    # a sum is non-finite whenever an entry is; one that overflows only skips
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not all(np.isfinite(m.sum()) for m in (*p.values(), *s.values())):
+            return None
     traces = np.array([np.trace(p[v]).real for v in g.vertices])
     if not np.all((-0.5 < traces) & (traces < n + 0.5)):
         return None
@@ -901,7 +906,7 @@ def _measured(
 
 # -- JSON interchange ---------------------------------------------------------
 
-_REP_FIELDS = frozenset({"dim", "complementDim", "edges", "vertices"})
+_REP_FIELDS = ("dim", "complementDim", "edges", "vertices")  # document order
 
 
 def _matrix_to_pairs(m: np.ndarray) -> list[list[float]]:
@@ -975,7 +980,7 @@ def rep_from_json(doc: object) -> ConcreteRepresentation:
     """
     if not isinstance(doc, dict):
         raise RepresentationError("representation document must be an object")
-    unknown = set(doc) - _REP_FIELDS
+    unknown = set(doc).difference(_REP_FIELDS)
     if unknown:
         raise RepresentationError(f"unknown top-level field(s): {sorted(unknown)}")
     for fieldname in _REP_FIELDS:

@@ -46,11 +46,14 @@ class DirectedGraph:
     """Immutable directed multigraph.
 
     ``vertices`` and ``edges`` keep document order; all iteration in this
-    package follows it. Being immutable, a graph is decomposed into its
+    package follows it. The graph keeps one table per fact: the position of
+    each vertex and edge id (``_vertex_pos``, ``_edge_pos``), and each
+    vertex's incident and out-edges (``_incident``, ``_out``). An edge is
+    looked up through its position and a vertex's in-edges are filtered from
+    its incident ones. Being immutable, a graph is decomposed into its
     components once, on first use, by one union-find sweep that every
-    caller shares (see ``decompose``). The structure layer reads the
-    position and incidence tables (``_vertex_pos``, ``_edge_pos``,
-    ``_incident``) directly, as plain dict lookups.
+    caller shares (see ``decompose``). The structure layer reads the tables
+    directly, as plain dict lookups.
     """
 
     def __init__(self, vertices: Iterable[str], edges: Iterable[Edge]):
@@ -66,10 +69,8 @@ class DirectedGraph:
             self._vertex_pos[v] = i
 
         self._edge_pos: dict[str, int] = {}
-        self._edge_by_id: dict[str, Edge] = {}
         incident: dict[str, list[Edge]] = {v: [] for v in self.vertices}
         out_edges: dict[str, list[Edge]] = {v: [] for v in self.vertices}
-        in_edges: dict[str, list[Edge]] = {v: [] for v in self.vertices}
         for i, e in enumerate(self.edges):
             eid, src, rng = e.id, e.src, e.rng
             if eid in self._edge_pos:
@@ -79,15 +80,12 @@ class DirectedGraph:
             if rng not in self._vertex_pos:
                 raise GraphError(f"edge '{eid}' has unknown rng vertex '{rng}'", f"edges[{i}]")
             self._edge_pos[eid] = i
-            self._edge_by_id[eid] = e
             out_edges[src].append(e)
-            in_edges[rng].append(e)
             incident[src].append(e)
             if src != rng:
                 incident[rng].append(e)
         self._incident = {v: tuple(es) for v, es in incident.items()}
         self._out = {v: tuple(es) for v, es in out_edges.items()}
-        self._in = {v: tuple(es) for v, es in in_edges.items()}
 
     # -- basic accessors -------------------------------------------------
 
@@ -116,7 +114,7 @@ class DirectedGraph:
 
     def edge(self, eid: str) -> Edge:
         try:
-            return self._edge_by_id[eid]
+            return self.edges[self._edge_pos[eid]]
         except KeyError:
             raise GraphError(f"unknown edge '{eid}'") from None
 
@@ -136,10 +134,7 @@ class DirectedGraph:
 
     def in_edges(self, v: str) -> tuple[Edge, ...]:
         """Edges e with rng(e) = v, in document order."""
-        try:
-            return self._in[v]
-        except KeyError:
-            raise GraphError(f"unknown vertex '{v}'") from None
+        return tuple(e for e in self.incident(v) if e.rng == v)
 
     def non_isolated(self) -> tuple[str, ...]:
         """Vertices that are an endpoint of at least one edge, in document order."""
@@ -183,7 +178,6 @@ class _Components(NamedTuple):
     """What one union-find sweep of a graph finds, parallel to dec.components."""
 
     dec: ComponentDecomposition
-    edge_lists: tuple[tuple[Edge, ...], ...]
     forests: tuple[bool, ...]
 
 
@@ -339,9 +333,9 @@ def _sweep(g: DirectedGraph) -> _Components:
 
     Touched vertices are grouped in document order, so each component is
     in document order and the components come out ordered by their first
-    vertex. A connected component with k vertices has at least k - 1
-    non-loop edges, and it is a forest (no loop, no cycle) exactly when it
-    has no more edges than that.
+    vertex. The second pass counts each component's edges: a connected
+    component with k vertices has at least k - 1 non-loop edges, and it is
+    a forest (no loop, no cycle) exactly when it has no more edges than that.
     """
     touched = g.non_isolated()
     uf = _UnionFind(touched)
@@ -359,15 +353,15 @@ def _sweep(g: DirectedGraph) -> _Components:
             members.append([])
         members[i].append(v)
         index[v] = i
-    lists: list[list[Edge]] = [[] for _ in members]
+    counts = [0] * len(members)
     for e in g.edges:
-        lists[index[e.src]].append(e)
-    components = tuple(tuple(m) for m in members)
-    edge_lists = tuple(tuple(es) for es in lists)
+        counts[index[e.src]] += 1
     return _Components(
-        ComponentDecomposition(components, tuple(v for v in g.vertices if not g._incident[v])),
-        edge_lists,
-        tuple(len(es) < len(c) for c, es in zip(components, edge_lists)),
+        ComponentDecomposition(
+            tuple(tuple(m) for m in members),
+            tuple(v for v in g.vertices if not g._incident[v]),
+        ),
+        tuple(k < len(m) for m, k in zip(members, counts)),
     )
 
 
@@ -399,24 +393,11 @@ def component_edges(g: DirectedGraph, comp: Iterable[str]) -> Iterator[Edge]:
     return (e for e in g.edges if e.src in members and e.rng in members)
 
 
-def component_edge_lists(
-    g: DirectedGraph, dec: ComponentDecomposition
-) -> tuple[tuple[Edge, ...], ...]:
-    """Edges of each component of dec = decompose(g), in document order.
-
-    The result is parallel to dec.components and comes from the sweep that
-    built dec, so it costs nothing after ``decompose``.
-    """
-    sweep = g._components
-    if dec is not sweep.dec and dec != sweep.dec:
-        raise GraphError("the decomposition is not decompose(g) of this graph")
-    return sweep.edge_lists
-
-
 def component_forests(g: DirectedGraph) -> tuple[bool, ...]:
     """Whether each component of decompose(g) is a forest, in component order.
 
-    The bits come from the sweep behind ``decompose``; each equals
-    ``is_forest(comp, edges)`` for that component and its edges.
+    The bits come from the sweep behind ``decompose``, which counts each
+    component's edges; each equals ``is_forest(comp, component_edges(g,
+    comp))``.
     """
     return g._components.forests

@@ -25,14 +25,7 @@ from enum import Enum
 from functools import cached_property
 from typing import Iterable
 
-from .graph import (
-    ComponentDecomposition,
-    DirectedGraph,
-    Edge,
-    component_edge_lists,
-    component_forests,
-    decompose,
-)
+from .graph import DirectedGraph, Edge, component_forests, decompose
 from .report import FAIL, NOT_APPLICABLE, PASS, CheckItem, Report
 
 
@@ -172,17 +165,11 @@ def classify(g: DirectedGraph, d: LevelDecomposition, comp: Iterable[str]) -> Cl
     return _classify_members(d, members)
 
 
-def _classifications(
-    d: LevelDecomposition, dec: ComponentDecomposition
-) -> list[tuple[tuple[str, ...], Classification]]:
-    return [(comp, _classify_members(d, comp)) for comp in dec.components]
-
-
 def component_classifications(
     g: DirectedGraph, d: LevelDecomposition
 ) -> list[tuple[tuple[str, ...], Classification]]:
     """(component, classification) pairs in component order."""
-    return _classifications(d, decompose(g))
+    return [(comp, _classify_members(d, comp)) for comp in decompose(g).components]
 
 
 def _component_max_level(d: LevelDecomposition, members: Iterable[str]) -> int:
@@ -203,17 +190,20 @@ def vertex_roles(
 ) -> dict[str, VertexRole]:
     """Final / Initial / Center role for every vertex of a classified component.
 
-    Raises when the classification is Irregular or when the expected
-    uniqueness of witness edges fails, which signals non-P-simple input.
+    Vertices are visited, and the roles listed, by level and then document
+    order, with the center last; the component is sorted once, and its top
+    level is listed once. Raises when the classification is Irregular or
+    when the expected uniqueness of witness edges fails, which signals
+    non-P-simple input.
     """
     if c.kind is ClassificationKind.IRREGULAR:
         raise StructureError("roles are undefined for an Irregular component")
-    levels, incident = d._levels, g._incident
-    members = sorted(comp, key=g.vertex_position)
+    levels, incident, position = d._levels, g._incident, g.vertex_position
+    members = sorted(comp, key=lambda v: (levels.get(v, math.inf), position(v)))
     m = _component_max_level(d, members)
+    top = [w for w in members if levels.get(w) == m]
     roles: dict[str, VertexRole] = {}
-    # by level, then document order: members are in document order and sorted is stable
-    for v in sorted(members, key=lambda v: levels.get(v, math.inf)):
+    for v in members:
         n = levels.get(v)
         if n is None:
             if v != c.center:
@@ -230,12 +220,11 @@ def vertex_roles(
                 if e.src != e.rng and levels.get(e.rng if e.src == v else e.src, math.inf) > n
             ]
         elif c.kind is ClassificationKind.ALL_LEVELS:
-            pair = [w for w in members if levels.get(w) == m]
-            if len(pair) != 2:
+            if len(top) != 2:
                 raise StructureError(
-                    f"top level of an AllLevels component must hold 2 vertices, got {len(pair)}"
+                    f"top level of an AllLevels component must hold 2 vertices, got {len(top)}"
                 )
-            other = pair[0] if pair[1] == v else pair[1]
+            other = top[0] if top[1] == v else top[1]
             witnesses = _joining(incident[v], v, other)
         else:
             witnesses = _joining(incident[v], v, c.center)
@@ -260,35 +249,32 @@ def check_structure(g: DirectedGraph, d: LevelDecomposition) -> Report:
     3a/3b to LevelsPlusCenter components; 4 to P-simple components (their
     classification must not be Irregular). Residual vertices count as having
     a level above every finite one, since peeling never removes them.
+
+    Each leveled vertex's incident edges are scanned once, for item 1, into
+    its distinct neighbours at or above its level; items 2a/3a keep the
+    strictly higher ones of that list. The joining edges of items 2b/3b are
+    read off one top vertex's incident edges.
     """
     applicable: dict[str, bool] = {k: False for k in ("1", "2a", "2b", "3a", "3b", "4")}
     failures: dict[str, list] = {k: [] for k in applicable}
     levels, incident, inf = d._levels, g._incident, math.inf
 
-    def neighbors_at_least(v: str, n: float, strict: bool) -> list[str]:
-        seen: dict[str, None] = {}
-        for e in incident[v]:
-            w = e.rng if e.src == v else e.src
-            if w == v:  # a loop
-                continue
-            lw = levels.get(w, inf)
-            if (lw > n) if strict else (lw >= n):
-                seen[w] = None
-        return list(seen)
-
+    at_least: dict[str, list[str]] = {}  # leveled vertex -> neighbours at or above its level
     for v in g.vertices:
         n = levels.get(v)
         if n is None:
             continue
         applicable["1"] = True
-        higher_eq = neighbors_at_least(v, n, strict=False)
+        seen: dict[str, None] = {}
+        for e in incident[v]:
+            w = e.rng if e.src == v else e.src
+            if w != v and levels.get(w, inf) >= n:  # w == v for a loop
+                seen[w] = None
+        at_least[v] = higher_eq = list(seen)
         if len(higher_eq) > 1:
             failures["1"].append({"vertex": v, "level": n, "neighbors": higher_eq})
 
-    dec = decompose(g)
-    for (comp, c), edges, forest in zip(
-        _classifications(d, dec), component_edge_lists(g, dec), component_forests(g)
-    ):
+    for (comp, c), forest in zip(component_classifications(g, d), component_forests(g)):
         m = _component_max_level(d, comp)
         top = [v for v in comp if levels.get(v) == m] if m else []
         if c.kind in (ClassificationKind.ALL_LEVELS, ClassificationKind.LEVELS_PLUS_CENTER):
@@ -299,14 +285,12 @@ def check_structure(g: DirectedGraph, d: LevelDecomposition) -> Report:
                 n = levels.get(v)
                 if n is None or n >= m:
                     continue
-                higher = neighbors_at_least(v, n, strict=True)
+                higher = [w for w in at_least[v] if levels.get(w, inf) > n]
                 if len(higher) != 1:
                     failures[a_key].append({"vertex": v, "level": n, "neighbors": higher})
             if c.kind is ClassificationKind.ALL_LEVELS:
-                top_set = set(top)
-                joining = [
-                    e.id for e in edges if e.src != e.rng and {e.src, e.rng} == top_set
-                ]
+                edges = _joining(incident[top[0]], *top) if len(top) == 2 else []
+                joining = [e.id for e in edges]
                 if len(top) != 2 or len(joining) != 1:
                     failures["2b"].append(
                         {"component": list(comp), "topLevel": top, "joiningEdges": joining}

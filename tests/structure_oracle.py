@@ -2,9 +2,11 @@
 
 ``level_decomposition`` rebuilds the remaining subgraph every round,
 ``component_classifications`` goes through the public ``classify`` (one
-``decompose`` per component), and ``check_structure`` rescans every edge per
-component. The library replaced them with one-pass versions; the property
-tests in ``test_structure_oracle.py`` require identical output.
+``decompose`` per component), ``check_structure`` rescans every edge per
+component, and ``vertex_roles`` sorts each component twice and rescans it
+for the top pair once per top vertex. The library replaced them with
+one-pass versions; the property tests in ``test_structure_oracle.py``
+require identical output.
 """
 
 from __future__ import annotations
@@ -20,8 +22,12 @@ from branchrep import (
     Classification,
     ClassificationKind,
     DirectedGraph,
+    Edge,
     LevelDecomposition,
     Report,
+    Role,
+    StructureError,
+    VertexRole,
     classify,
     decompose,
     extreme_vertices,
@@ -180,3 +186,63 @@ def check_structure(g: DirectedGraph, d: LevelDecomposition) -> Report:
         else:
             items.append(CheckItem(key, PASS))
     return Report(tuple(items))
+
+
+def _joining(incident: tuple[Edge, ...], v: str, w: str) -> list[Edge]:
+    """Non-loop edges among v's incident ones whose other endpoint is w."""
+    return [e for e in incident if e.src != e.rng and (e.rng if e.src == v else e.src) == w]
+
+
+def vertex_roles(
+    g: DirectedGraph,
+    d: LevelDecomposition,
+    comp: Iterable[str],
+    c: Classification,
+) -> dict[str, VertexRole]:
+    """Final / Initial / Center role for every vertex of a classified component.
+
+    Raises when the classification is Irregular or when the expected
+    uniqueness of witness edges fails, which signals non-P-simple input.
+    """
+    if c.kind is ClassificationKind.IRREGULAR:
+        raise StructureError("roles are undefined for an Irregular component")
+    levels, incident = d._levels, g._incident
+    members = sorted(comp, key=g.vertex_position)
+    m = _component_max_level(d, members)
+    roles: dict[str, VertexRole] = {}
+    # by level, then document order: members are in document order and sorted is stable
+    for v in sorted(members, key=lambda v: levels.get(v, math.inf)):
+        n = levels.get(v)
+        if n is None:
+            if v != c.center:
+                raise StructureError(
+                    f"vertex '{v}' is unleveled but is not the center; component is Irregular"
+                )
+            roles[v] = VertexRole(Role.CENTER, None)
+            continue
+        if n < m:
+            # edges whose other endpoint outranks level n (residual counts as infinite)
+            witnesses = [
+                e
+                for e in incident[v]
+                if e.src != e.rng and levels.get(e.rng if e.src == v else e.src, math.inf) > n
+            ]
+        elif c.kind is ClassificationKind.ALL_LEVELS:
+            pair = [w for w in members if levels.get(w) == m]
+            if len(pair) != 2:
+                raise StructureError(
+                    f"top level of an AllLevels component must hold 2 vertices, got {len(pair)}"
+                )
+            other = pair[0] if pair[1] == v else pair[1]
+            witnesses = _joining(incident[v], v, other)
+        else:
+            witnesses = _joining(incident[v], v, c.center)
+        if len(witnesses) != 1:
+            raise StructureError(
+                f"vertex '{v}' has {len(witnesses)} candidate witness edges, expected exactly 1 "
+                "(non-P-simple input?)"
+            )
+        e = witnesses[0]
+        role = Role.FINAL if e.rng == v else Role.INITIAL
+        roles[v] = VertexRole(role, e.id)
+    return roles

@@ -827,3 +827,24 @@ def test_screen_is_skipped_and_reports_match_the_original(why):
     g, rep = _skip_cases()[why]
     assert alignment._pair_screen(rep, g) is None
     _same(check_representation(rep, g), oracle.check_representation(rep, g))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "value",
+    [np.inf, -np.inf, np.nan, complex(0.0, np.inf), complex(0.0, np.nan)],
+    ids=["inf", "-inf", "nan", "imag-inf", "imag-nan"],
+)
+@pytest.mark.parametrize("kind", ["vertex", "edge"])
+def test_one_non_finite_entry_skips_the_screen_and_fails_the_check(kind, value):
+    g = genutil.tree_graph(np.random.default_rng(8), 6)
+    rep = random_representation(g, {v: 2 for v in g.sinks()}, complement_dim=1, seed=2)
+    field = f"{kind}_matrices"
+    mats = dict(getattr(rep, field))
+    key = next(iter(mats))
+    m = mats[key].copy()
+    m[1, 2] = value
+    mats[key] = m
+    bad = dataclasses.replace(rep, **{field: mats})
+    assert alignment._pair_screen(bad, g) is None
+    assert not check_representation(bad, g).passed

@@ -1,6 +1,7 @@
 import argparse
 import dataclasses
 import json
+import os
 import re
 import subprocess
 import sys
@@ -163,6 +164,16 @@ def test_analyze_fixture_matches_golden_bytes(capsys, graph_path, golden):
     code, out, _ = run(capsys, "analyze", str(graph_path))
     assert code == 0
     assert out == (GOLDEN / golden).read_text(encoding="utf-8")
+
+
+def test_analyze_truncated_matches_golden_bytes(capsys):
+    """Both the vertex level and the edge level meet the boundary vertex v1,
+    so both are flagged; the edge flag reads each edge's endpoints."""
+    code, out, _ = run(
+        capsys, "analyze", str(EXAMPLE_GRAPH_PATH), "--truncate", "5", "--boundary", "v1"
+    )
+    assert code == 0
+    assert out == (GOLDEN / "analyze_example_truncated.json").read_text(encoding="utf-8")
 
 
 @pytest.mark.parametrize("graph_path", [EXAMPLE_GRAPH_PATH, TWO_LEAF_GRAPH_PATH])
@@ -1070,6 +1081,22 @@ def test_huge_integer_representation_entry_exits_2(tmp_path, command):
     result = _run_module(command, rpath, "--graph", gpath)
     assert result.returncode == 2 and result.stdout == ""
     assert result.stderr == "error: vertices['u'][2] has an entry too large for a float\n"
+
+
+def test_missing_representation_fields_are_named_in_document_order(tmp_path):
+    """With three fields missing, the first of them in document order is
+    named, whatever order the interpreter's string hashing gives a set."""
+    gpath = write_json(tmp_path / "g.json", SINGLE_EDGE_DOC)
+    rpath = write_json(tmp_path / "rep.json", {"dim": 2})
+    for seed in range(1, 9):
+        result = subprocess.run(
+            [sys.executable, "-m", "branchrep", "align", rpath, "--graph", gpath],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONHASHSEED": str(seed)},
+        )
+        assert result.returncode == 2 and result.stdout == ""
+        assert result.stderr == "error: missing required field 'complementDim'\n", seed
 
 
 @pytest.mark.parametrize("command", ["verify", "align"])

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from branchrep import (
-    ComponentDecomposition,
     DirectedGraph,
     Edge,
     GraphError,
@@ -17,7 +16,7 @@ from branchrep import (
     parse_graph,
     truncate,
 )
-from branchrep.graph import component_edge_lists, component_edges, component_forests, is_forest
+from branchrep.graph import component_edges, component_forests, is_forest
 from conftest import EXAMPLE_GRAPH_PATH, path_graph, single_edge_graph
 from graph_oracle import adjacent, find_paths
 
@@ -275,24 +274,15 @@ def test_one_sweep_gives_every_components_forest_bit(doc):
     g = graph_from_json(doc)
     dec = decompose(g)
     assert decompose(g) is dec
-    edge_lists = component_edge_lists(g, dec)
     forests = component_forests(g)
-    assert len(edge_lists) == len(forests) == len(dec.components)
-    for comp, edges, forest in zip(dec.components, edge_lists, forests):
-        assert edges == tuple(component_edges(g, comp))
+    assert len(forests) == len(dec.components)
+    for comp, forest in zip(dec.components, forests):
+        edges = tuple(component_edges(g, comp))
         undirected = nx.MultiGraph()
         undirected.add_nodes_from(comp)
         undirected.add_edges_from((e.src, e.rng) for e in edges)
         assert forest == is_forest(comp, edges) == nx.is_forest(undirected)
     assert is_p_simple(g) == all(forests)
-
-
-def test_edge_lists_need_the_graphs_own_decomposition(example_graph):
-    dec = decompose(example_graph)
-    equal = ComponentDecomposition(dec.components, dec.isolated)
-    assert component_edge_lists(example_graph, equal) == component_edge_lists(example_graph, dec)
-    with pytest.raises(GraphError, match="not decompose"):
-        component_edge_lists(example_graph, ComponentDecomposition(dec.components[:1], ()))
 
 
 @given(small_graph_docs())

@@ -1,8 +1,9 @@
 """The one-pass structure routines against the original quadratic ones.
 
 ``structure_oracle`` holds the original ``level_decomposition``,
-``component_classifications`` and ``check_structure`` verbatim; on every
-multigraph the library must produce exactly what they produce.
+``component_classifications``, ``check_structure`` and ``vertex_roles``
+verbatim; on every multigraph the library must produce exactly what they
+produce.
 """
 
 import json
@@ -13,11 +14,14 @@ from hypothesis import strategies as st
 
 import structure_oracle as oracle
 from branchrep import (
+    ClassificationKind,
     LevelDecomposition,
+    StructureError,
     check_structure,
     component_classifications,
     graph_from_json,
     level_decomposition,
+    vertex_roles,
 )
 from conftest import oracle_examples, path_graph
 
@@ -89,6 +93,41 @@ def test_check_structure_matches_quadratic_oracle_on_claimed_levels(doc, data):
         residual_edges=(),
     )
     _same_structure(g, d)
+
+
+def _claimed_decomposition(g, data):
+    """A decomposition that assigns each vertex a drawn level, or none."""
+    claimed = {v: data.draw(st.sampled_from([None, 1, 2, 3])) for v in g.vertices}
+    top = max((n for n in claimed.values() if n is not None), default=0)
+    return LevelDecomposition(
+        vertex_levels=tuple(
+            tuple(v for v in g.vertices if claimed[v] == n) for n in range(1, top + 1)
+        ),
+        edge_levels=(),
+        residual_vertices=tuple(v for v in g.vertices if claimed[v] is None),
+        residual_edges=(),
+    )
+
+
+def _roles_or_error(roles, g, d, comp, c):
+    try:
+        return list(roles(g, d, comp, c).items())
+    except StructureError as exc:
+        return f"StructureError: {exc}"
+
+
+@settings(max_examples=oracle_examples(200), deadline=None)
+@given(multigraph_docs(), st.data())
+def test_vertex_roles_match_the_original_on_honest_and_claimed_levels(doc, data):
+    """Same roles in the same order, or the same StructureError, per component."""
+    g = graph_from_json(doc)
+    for d in (level_decomposition(g), _claimed_decomposition(g, data)):
+        for comp, c in component_classifications(g, d):
+            if c.kind is ClassificationKind.IRREGULAR:
+                continue
+            assert _roles_or_error(vertex_roles, g, d, comp, c) == _roles_or_error(
+                oracle.vertex_roles, g, d, comp, c
+            )
 
 
 @pytest.mark.parametrize("n", [5000, 5001])
