@@ -64,9 +64,7 @@ from .structure import (
     StructureError,
     VertexRole,
     check_structure,
-    classify,
     component_classifications,
-    extreme_vertices,
     level_decomposition,
     level_report,
     vertex_roles,

@@ -474,17 +474,15 @@ def random_representation(
     sink_dims: Mapping[str, int],
     complement_dim: int = 0,
     seed: int = 0,
-    axis_aligned: bool = False,
 ) -> ConcreteRepresentation:
     """A representation of the graph relations, honest by construction.
 
     Starts from the canonical model of the synthesized branching system,
     twists each edge operator S_e by a Haar unitary H_e of its range
     vertex's block (one per edge, drawn in document order), then conjugates
-    everything by one global Haar unitary G, drawn last. ``axis_aligned``
-    takes the same path with G and every H_e the identity, so no randomness
-    is used and the matrices are exactly the canonical 0/1 ones. The result
-    is not checked here; callers that need a report run
+    everything by one global Haar unitary G, drawn last. The exact 0/1
+    canonical matrices are ``to_matrix`` of ``induce(synthesize(...))``. The
+    result is not checked here; callers that need a report run
     ``check_representation`` on it.
 
     The canonical model is read off the system's index maps (``synthesize``
@@ -500,14 +498,10 @@ def random_representation(
         # the same error ConcreteRepresentation raises, before any Haar draw
         raise RepresentationError(f"dim must be positive, got {n}")
     domains = {v: sorted(bs.domain_sets[v]) for v in g.vertices}
-    if axis_aligned:
-        twists = {e.id: np.eye(len(domains[e.rng]), dtype=complex) for e in g.edges}
-        gmat = gstar = np.eye(n, dtype=complex)
-    else:
-        rng = np.random.default_rng(seed)
-        twists = {e.id: haar_unitary(len(domains[e.rng]), rng) for e in g.edges}
-        gmat = haar_unitary(n, rng)
-        gstar = gmat.conj().T
+    rng = np.random.default_rng(seed)
+    twists = {e.id: haar_unitary(len(domains[e.rng]), rng) for e in g.edges}
+    gmat = haar_unitary(n, rng)
+    gstar = gmat.conj().T
     edge_mats = {}
     for e in g.edges:
         block = domains[e.rng]

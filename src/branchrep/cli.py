@@ -50,7 +50,7 @@ from .graph import (
     graph_from_json,
     truncate,
 )
-from .operators import OperatorError, coordinate_export, induce, to_matrix, verify_ck
+from .operators import OperatorError, _family, coordinate_export, to_matrix, verify_ck
 from .report import Tolerances
 from .structure import (
     ClassificationKind,
@@ -285,7 +285,7 @@ def cmd_induce(args: argparse.Namespace) -> int:
     if not val.passed:
         _emit({"seed": args.seed, "validation": val.to_json(), "passed": False}, args)
         return 1
-    fam = induce(bs, g)
+    fam = _family(bs, g)
     ck = verify_ck(fam, g, tols)
     if args.out_dir:
         _write_matrices(fam, files, args.out_dir)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, NamedTuple
 
 
 class GraphError(ValueError):
@@ -33,14 +33,6 @@ class Edge:
     def is_loop(self) -> bool:
         return self.src == self.rng
 
-    def other_endpoint(self, v: str) -> str:
-        """The endpoint opposite v (v itself for a loop)."""
-        if v == self.src:
-            return self.rng
-        if v == self.rng:
-            return self.src
-        raise GraphError(f"vertex '{v}' is not an endpoint of edge '{self.id}'")
-
 
 class DirectedGraph:
     """Immutable directed multigraph.
@@ -49,10 +41,9 @@ class DirectedGraph:
     package follows it. The graph keeps one table per fact: the position of
     each vertex and edge id (``_vertex_pos``, ``_edge_pos``), and each
     vertex's incident and out-edges (``_incident``, ``_out``). An edge is
-    looked up through its position and a vertex's in-edges are filtered from
-    its incident ones. Being immutable, a graph is decomposed into its
-    components once, on first use, by one union-find sweep that every
-    caller shares (see ``decompose``). The structure layer reads the tables
+    looked up through its position. Being immutable, a graph is decomposed
+    into its components once, on first use, by one union-find sweep that
+    every caller shares (see ``decompose``). The structure layer reads the tables
     directly, as plain dict lookups.
     """
 
@@ -131,10 +122,6 @@ class DirectedGraph:
             return self._out[v]
         except KeyError:
             raise GraphError(f"unknown vertex '{v}'") from None
-
-    def in_edges(self, v: str) -> tuple[Edge, ...]:
-        """Edges e with rng(e) = v, in document order."""
-        return tuple(e for e in self.incident(v) if e.rng == v)
 
     def non_isolated(self) -> tuple[str, ...]:
         """Vertices that are an endpoint of at least one edge, in document order."""
@@ -249,22 +236,11 @@ class _UnionFind:
             parent[x], x = root, parent[x]
         return root
 
-    def union(self, a: str, b: str) -> bool:
-        """Merge the classes of a and b; False if they were already merged."""
+    def union(self, a: str, b: str) -> None:
+        """Merge the classes of a and b."""
         ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        self.parent[rb] = ra
-        return True
-
-
-def is_forest(vertices: Iterable[str], edges: Iterable[Edge]) -> bool:
-    """No loop among edges and no cycle in the undirected multigraph they span.
-
-    Every endpoint of every edge must be among vertices.
-    """
-    uf = _UnionFind(vertices)
-    return all(not e.is_loop and uf.union(e.src, e.rng) for e in edges)
+        if ra != rb:
+            self.parent[rb] = ra
 
 
 def is_p_simple(g: DirectedGraph) -> bool:
@@ -387,17 +363,10 @@ def truncate(g: DirectedGraph, n: int) -> tuple[DirectedGraph, frozenset[str]]:
     return g.subgraph(kept, kept_edge_ids), frozenset(boundary)
 
 
-def component_edges(g: DirectedGraph, comp: Iterable[str]) -> Iterator[Edge]:
-    """Edges with both endpoints in comp, in document order."""
-    members = set(comp)
-    return (e for e in g.edges if e.src in members and e.rng in members)
-
-
 def component_forests(g: DirectedGraph) -> tuple[bool, ...]:
     """Whether each component of decompose(g) is a forest, in component order.
 
     The bits come from the sweep behind ``decompose``, which counts each
-    component's edges; each equals ``is_forest(comp, component_edges(g,
-    comp))``.
+    component's edges (see ``_sweep``).
     """
     return g._components.forests

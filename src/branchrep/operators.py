@@ -82,9 +82,6 @@ class WeightedPartialIsometry:
     def range(self) -> frozenset[int]:
         return frozenset(self.mapping.values())
 
-    def inverse_mapping(self) -> dict[int, int]:
-        return {j: x for x, j in self.mapping.items()}
-
 
 def identity_on(support: Iterable[int]) -> WeightedPartialIsometry:
     s = sorted(set(support))
@@ -128,7 +125,12 @@ def induce(bs: DiscreteBranchingSystem, g: DirectedGraph) -> GeneratorFamily:
     if not report.passed:
         bad = ", ".join(item.item for item in report.failures())
         raise OperatorError(f"branching system fails condition(s) {bad}; cannot induce")
+    return _family(bs, g)
 
+
+def _family(bs: DiscreteBranchingSystem, g: DirectedGraph) -> GeneratorFamily:
+    """``induce`` without its validation: called only right after a passing
+    ``validate(bs, g)``."""
     parts = {x: w.as_integer_ratio() for x, w in bs.weights.items()}
     edge_ops: dict[str, WeightedPartialIsometry] = {}
     for e in g.edges:

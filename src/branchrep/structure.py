@@ -89,16 +89,6 @@ class VertexRole:
         return {"role": self.role.value, "witnessEdge": self.witness_edge}
 
 
-def extreme_vertices(g: DirectedGraph) -> tuple[str, ...]:
-    """Vertices with exactly one incident edge, that edge not a loop."""
-    out = []
-    for v in g.vertices:
-        inc = g.incident(v)
-        if len(inc) == 1 and not inc[0].is_loop:
-            out.append(v)
-    return tuple(out)
-
-
 def level_decomposition(g: DirectedGraph) -> LevelDecomposition:
     """Peel extreme vertices until none remain.
 
@@ -154,15 +144,6 @@ def _classify_members(d: LevelDecomposition, members: tuple[str, ...]) -> Classi
     if len(unleveled) == 1:
         return Classification(ClassificationKind.LEVELS_PLUS_CENTER, center=unleveled[0])
     return Classification(ClassificationKind.IRREGULAR)
-
-
-def classify(g: DirectedGraph, d: LevelDecomposition, comp: Iterable[str]) -> Classification:
-    """Classify one connected component of g against the level decomposition."""
-    members = tuple(comp)
-    comps = {frozenset(c): c for c in decompose(g).components}
-    if frozenset(members) not in comps:
-        raise StructureError(f"{sorted(members)} is not a connected component of the graph")
-    return _classify_members(d, members)
 
 
 def component_classifications(

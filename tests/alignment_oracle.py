@@ -6,7 +6,8 @@ component's top vertex μ downward through the rest. ``vertex_dimensions``
 is the post-order walk that settled sinks as it met them. The library now
 builds both from one ``graph.sink_first_order``; the property tests in
 ``test_alignment_oracle.py`` require the same bases, the same dimensions
-and the same errors.
+and the same errors. ``_in_edges`` is a verbatim copy of the library's
+former ``DirectedGraph.in_edges``.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from branchrep.alignment import (
     _svd_basis,
 )
 from branchrep.branching import BranchingError
-from branchrep.graph import DirectedGraph, decompose, is_p_simple
+from branchrep.graph import DirectedGraph, Edge, decompose, is_p_simple
 from branchrep.report import Tolerances
 from branchrep.structure import (
     Classification,
@@ -35,6 +36,11 @@ from branchrep.structure import (
     level_decomposition,
     vertex_roles,
 )
+
+
+def _in_edges(g: DirectedGraph, v: str) -> tuple[Edge, ...]:
+    """Edges e with rng(e) = v, in document order."""
+    return tuple(e for e in g.incident(v) if e.rng == v)
 
 
 def align_bases(
@@ -127,7 +133,7 @@ def align_bases(
             )
         vertex_vecs[v] = b
         processed.add(v)
-        for e in g.in_edges(v):
+        for e in _in_edges(g, v):
             edge_vecs[e.id] = rep.edge_matrices[e.id] @ b
 
     finals = sorted(

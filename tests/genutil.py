@@ -4,7 +4,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from branchrep import DirectedGraph, WeightedPartialIsometry, graph_from_json
+from branchrep import (
+    ConcreteRepresentation,
+    DirectedGraph,
+    WeightedPartialIsometry,
+    graph_from_json,
+    induce,
+    synthesize,
+    to_matrix,
+)
 
 
 def tree_doc(rng: np.random.Generator, n: int, directed_path: bool = False) -> dict:
@@ -72,3 +80,21 @@ def random_wpi(rng: np.random.Generator, size: int) -> WeightedPartialIsometry:
     mapping = {int(x): int(j) for x, j in zip(domain, image)}
     amplitude = {x: float(rng.uniform(0.5, 2.0)) for x in mapping}
     return WeightedPartialIsometry(mapping=mapping, amplitude=amplitude)
+
+
+def canonical_representation(
+    g: DirectedGraph, sink_dims: dict[str, int], complement_dim: int = 0
+) -> ConcreteRepresentation:
+    """The exact 0/1 canonical model: the dense generators of the family
+    induced by the synthesized branching system, as complex matrices."""
+    fam = induce(synthesize(g, sink_dims, slack=complement_dim), g)
+    return ConcreteRepresentation(
+        dim=len(fam.universe),
+        complement_dim=complement_dim,
+        edge_matrices={
+            e.id: to_matrix(fam, e.id, kind="edge").astype(complex) for e in g.edges
+        },
+        vertex_matrices={
+            v: to_matrix(fam, v, kind="vertex").astype(complex) for v in g.vertices
+        },
+    )

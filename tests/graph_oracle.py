@@ -4,13 +4,15 @@
 recursing once per step, so its depth grows with the walk's length; the
 definition-level P-simplicity predicate in ``test_graph.py`` counts trails
 with it, against the union-find route of ``branchrep.graph.is_p_simple``.
+``_other_endpoint`` is a verbatim copy of the library's former
+``Edge.other_endpoint``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from branchrep import DirectedGraph, GraphError
+from branchrep import DirectedGraph, Edge, GraphError
 
 
 @dataclass(frozen=True)
@@ -33,6 +35,15 @@ class Path:
         return len(self.edges)
 
 
+def _other_endpoint(e: Edge, v: str) -> str:
+    """The endpoint opposite v (v itself for a loop)."""
+    if v == e.src:
+        return e.rng
+    if v == e.rng:
+        return e.src
+    raise GraphError(f"vertex '{v}' is not an endpoint of edge '{e.id}'")
+
+
 def adjacent(g: DirectedGraph, a: str, b: str) -> bool:
     """True iff a != b and some edge has endpoint set {a, b}.
 
@@ -42,7 +53,7 @@ def adjacent(g: DirectedGraph, a: str, b: str) -> bool:
     g.vertex_position(b)
     if a == b:
         return False
-    return any(e.other_endpoint(a) == b for e in g.incident(a) if not e.is_loop)
+    return any(_other_endpoint(e, a) == b for e in g.incident(a) if not e.is_loop)
 
 
 def find_paths(g: DirectedGraph, u: str, v: str, limit: int) -> list[Path]:
@@ -67,7 +78,7 @@ def find_paths(g: DirectedGraph, u: str, v: str, limit: int) -> list[Path]:
                 return
             if e.id in used:
                 continue
-            nxt = e.other_endpoint(cur)
+            nxt = _other_endpoint(e, cur)
             used.add(e.id)
             vertex_trail.append(nxt)
             edge_trail.append(e.id)

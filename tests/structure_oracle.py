@@ -1,18 +1,21 @@
 """The original quadratic structure routines, kept verbatim as test oracles.
 
 ``level_decomposition`` rebuilds the remaining subgraph every round,
-``component_classifications`` goes through the public ``classify`` (one
-``decompose`` per component), ``check_structure`` rescans every edge per
-component, and ``vertex_roles`` sorts each component twice and rescans it
-for the top pair once per top vertex. The library replaced them with
-one-pass versions; the property tests in ``test_structure_oracle.py``
-require identical output.
+``component_classifications`` goes through ``classify`` (one ``decompose``
+per component), ``check_structure`` rescans every edge per component, and
+``vertex_roles`` sorts each component twice and rescans it for the top pair
+once per top vertex. The library replaced them with one-pass versions; the
+property tests in ``test_structure_oracle.py`` require identical output.
+The helpers they call and the library no longer has are copied here
+verbatim: ``extreme_vertices``, ``classify`` (with ``_classify_members``),
+``component_edges`` and ``_other_endpoint`` (the former
+``Edge.other_endpoint``).
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from branchrep import (
     FAIL,
@@ -23,16 +26,58 @@ from branchrep import (
     ClassificationKind,
     DirectedGraph,
     Edge,
+    GraphError,
     LevelDecomposition,
     Report,
     Role,
     StructureError,
     VertexRole,
-    classify,
     decompose,
-    extreme_vertices,
 )
-from branchrep.graph import component_edges
+
+
+def extreme_vertices(g: DirectedGraph) -> tuple[str, ...]:
+    """Vertices with exactly one incident edge, that edge not a loop."""
+    out = []
+    for v in g.vertices:
+        inc = g.incident(v)
+        if len(inc) == 1 and not inc[0].is_loop:
+            out.append(v)
+    return tuple(out)
+
+
+def _classify_members(d: LevelDecomposition, members: tuple[str, ...]) -> Classification:
+    levels = d._levels
+    unleveled = [v for v in members if v not in levels]
+    if not unleveled:
+        return Classification(ClassificationKind.ALL_LEVELS)
+    if len(unleveled) == 1:
+        return Classification(ClassificationKind.LEVELS_PLUS_CENTER, center=unleveled[0])
+    return Classification(ClassificationKind.IRREGULAR)
+
+
+def classify(g: DirectedGraph, d: LevelDecomposition, comp: Iterable[str]) -> Classification:
+    """Classify one connected component of g against the level decomposition."""
+    members = tuple(comp)
+    comps = {frozenset(c): c for c in decompose(g).components}
+    if frozenset(members) not in comps:
+        raise StructureError(f"{sorted(members)} is not a connected component of the graph")
+    return _classify_members(d, members)
+
+
+def component_edges(g: DirectedGraph, comp: Iterable[str]) -> Iterator[Edge]:
+    """Edges with both endpoints in comp, in document order."""
+    members = set(comp)
+    return (e for e in g.edges if e.src in members and e.rng in members)
+
+
+def _other_endpoint(e: Edge, v: str) -> str:
+    """The endpoint opposite v (v itself for a loop)."""
+    if v == e.src:
+        return e.rng
+    if v == e.rng:
+        return e.src
+    raise GraphError(f"vertex '{v}' is not an endpoint of edge '{e.id}'")
 
 
 def level_decomposition(g: DirectedGraph) -> LevelDecomposition:
@@ -121,7 +166,7 @@ def check_structure(g: DirectedGraph, d: LevelDecomposition) -> Report:
         for e in g.incident(v):
             if e.is_loop:
                 continue
-            w = e.other_endpoint(v)
+            w = _other_endpoint(e, v)
             lw = _level_or_inf(d, w)
             if (lw > n) if strict else (lw >= n):
                 seen.setdefault(w, None)
@@ -165,7 +210,7 @@ def check_structure(g: DirectedGraph, d: LevelDecomposition) -> Report:
                     joining = [
                         e.id
                         for e in g.incident(v)
-                        if not e.is_loop and e.other_endpoint(v) == c.center
+                        if not e.is_loop and _other_endpoint(e, v) == c.center
                     ]
                     if len(joining) != 1:
                         failures[b_key].append(

@@ -99,7 +99,7 @@ def householder_bound(n):
 
 def test_axis_aligned_single_edge_is_exactly_canonical():
     g = single_edge_graph()
-    rep = random_representation(g, {"v": 1}, axis_aligned=True)
+    rep = genutil.canonical_representation(g, {"v": 1})
     assert np.array_equal(to_matrix(induce(synthesize(g, {"v": 1}), g), "e").astype(complex), rep.edge_matrices["e"])
     ba, cert = run_pipeline(g, rep)
     assert cert.system == synthesize(g, {"v": 1})
@@ -113,7 +113,7 @@ def test_axis_aligned_single_edge_is_exactly_canonical():
 def test_axis_aligned_star_recovers_canonical_system():
     g = star_graph(3, outward=True)
     dims = {"l1": 1, "l2": 2, "l3": 1}
-    rep = random_representation(g, dims, axis_aligned=True)
+    rep = genutil.canonical_representation(g, dims)
     ba, cert = run_pipeline(g, rep)
     assert cert.system == synthesize(g, dims)
     assert ba.vertex_bases == {"c": (0, 1, 2, 3), "l1": (4,), "l2": (5, 6), "l3": (7,)}
@@ -480,7 +480,7 @@ def test_check_representation_detects_image_escape_and_bad_sum():
 
 def test_check_representation_detects_overlapping_edges():
     g = star_graph(2, outward=True)
-    rep = random_representation(g, {"l1": 1, "l2": 1}, axis_aligned=True)
+    rep = genutil.canonical_representation(g, {"l1": 1, "l2": 1})
     edges = dict(rep.edge_matrices)
     edges["e2"] = edges["e1"]
     bad = ConcreteRepresentation(
@@ -610,7 +610,7 @@ def test_b2b_fails_a_non_finite_entry(value):
 def test_basis_assignment_refuses_columns_that_do_not_exist(field, key, columns):
     # numpy would wrap -2 to column 0 and let check_b2b pass
     g = single_edge_graph()
-    ba = align_bases(random_representation(g, {"v": 1}, axis_aligned=True), g)
+    ba = align_bases(genutil.canonical_representation(g, {"v": 1}), g)
     label = field.split("_")[0]
     with pytest.raises(AlignmentError, match=f"{label} '{key}' names column"):
         dataclasses.replace(ba, **{field: {**getattr(ba, field), key: columns}})
@@ -689,26 +689,28 @@ def trees_and_forests(draw):
 
 
 representation_args = st.tuples(
-    trees_and_forests(), st.integers(0, 2), st.integers(0, 2**32 - 1), st.booleans()
+    trees_and_forests(), st.integers(0, 2), st.integers(0, 2**32 - 1)
 )
 
 
 @settings(max_examples=80, deadline=None)
-@given(representation_args)
-def test_random_representation_passes_check_representation(args):
-    (g, dims), complement_dim, seed, axis_aligned = args
-    rep = random_representation(g, dims, complement_dim, seed, axis_aligned)
+@given(representation_args, st.booleans())
+def test_random_representation_passes_check_representation(args, canonical):
+    (g, dims), complement_dim, seed = args
+    if canonical:
+        rep = genutil.canonical_representation(g, dims, complement_dim)
+    else:
+        rep = random_representation(g, dims, complement_dim, seed)
     assert check_representation(rep, g).passed
 
 
-def padded_twist_representation(g, sink_dims, complement_dim, seed, axis_aligned):
+def padded_twist_representation(g, sink_dims, complement_dim, seed):
     """``random_representation`` as first written: each edge twist is padded
     with zeros to an N×N matrix and applied by a full product, then every
     canonical matrix is conjugated by two full products.
 
     Returns the edge and vertex matrices, each with its majorant
-    |G|·|M|·|G*| (M the twisted canonical matrix, G the global unitary; None
-    when axis-aligned).
+    |G|·|M|·|G*| (M the twisted canonical matrix, G the global unitary).
     """
     bs = synthesize(g, sink_dims, slack=complement_dim)
     fam = induce(bs, g)
@@ -720,8 +722,6 @@ def padded_twist_representation(g, sink_dims, complement_dim, seed, axis_aligned
         v: wpi_matrix(fam.vertex_projs[v].as_partial_isometry(), n).astype(complex)
         for v in g.vertices
     }
-    if axis_aligned:
-        return [(mats, dict.fromkeys(mats)) for mats in (edge_mats, vertex_mats)]
     rng = np.random.default_rng(seed)
     for e in g.edges:
         block = sorted(bs.domain_sets[e.rng])
@@ -744,8 +744,7 @@ def padded_twist_representation(g, sink_dims, complement_dim, seed, axis_aligned
 @given(representation_args)
 def test_gathered_twist_is_within_rounding_of_padded_twist(args):
     """The same Haar draws, in the same order, as the padded dense twist:
-    each entry within the two computations' rounding of each other, and the
-    same bits when axis-aligned.
+    each entry within the two computations' rounding of each other.
 
     Either way of forming G·M·G* is three products of inner dimension at
     most N, or fewer (M·W for a twisted edge M = T·W, T having one nonzero
@@ -756,25 +755,27 @@ def test_gathered_twist_is_within_rounding_of_padded_twist(args):
     γ(3N + 6) of its exact value, and gradual underflow adds at most the
     smallest normal float per product term.
     """
-    (g, dims), complement_dim, seed, axis_aligned = args
-    rep = random_representation(g, dims, complement_dim, seed, axis_aligned)
+    (g, dims), complement_dim, seed = args
+    rep = random_representation(g, dims, complement_dim, seed)
     n = rep.dim
     gamma = alignment._gamma(3 * n + 6)
     for mine, (reference, majorant) in zip(
         (rep.edge_matrices, rep.vertex_matrices),
-        padded_twist_representation(g, dims, complement_dim, seed, axis_aligned),
+        padded_twist_representation(g, dims, complement_dim, seed),
     ):
         assert list(mine) == list(reference)
         for key, m in mine.items():
             assert m.dtype == reference[key].dtype
-            if axis_aligned:
-                assert m.tobytes() == reference[key].tobytes()
-                continue
             bound = 2 * gamma * (1 + gamma) * majorant[key] + 3 * n * np.finfo(float).tiny
             assert np.all(np.abs(m - reference[key]) <= bound), key
 
 
-@pytest.mark.parametrize("axis_aligned", [False, True])
+# the Haar-twisted case, under the ``[False]`` id these tests have always had;
+# the exact 0/1 model is genutil.canonical_representation
+haar_twisted = pytest.mark.parametrize("axis_aligned", [False])
+
+
+@haar_twisted
 def test_random_representation_runs_no_relation_check(monkeypatch, axis_aligned):
     calls = []
     monkeypatch.setattr(
@@ -783,17 +784,15 @@ def test_random_representation_runs_no_relation_check(monkeypatch, axis_aligned)
         lambda *args, **kw: calls.append(args) or check_representation(*args, **kw),
     )
     g = path_graph(4)
-    rep = random_representation(
-        g, {"v4": 2}, complement_dim=1, seed=3, axis_aligned=axis_aligned
-    )
+    rep = random_representation(g, {"v4": 2}, complement_dim=1, seed=3)
     assert calls == []
     assert check_representation(rep, g).passed
 
 
-@pytest.mark.parametrize("axis_aligned", [False, True])
+@haar_twisted
 def test_random_representation_of_size_zero_raises_one_error(monkeypatch, axis_aligned):
-    """Two isolated vertices and no complement give N = 0 in both modes; it
-    is refused with ConcreteRepresentation's error before any Haar draw."""
+    """Two isolated vertices and no complement give N = 0; it is refused
+    with ConcreteRepresentation's error before any Haar draw."""
 
     def no_haar(*args):
         pytest.fail("haar_unitary called for N = 0")
@@ -801,14 +800,14 @@ def test_random_representation_of_size_zero_raises_one_error(monkeypatch, axis_a
     monkeypatch.setattr(alignment, "haar_unitary", no_haar)
     g = graph_from_json({"vertices": ["u", "v"], "edges": []})
     with pytest.raises(RepresentationError, match=r"^dim must be positive, got 0$"):
-        random_representation(g, {}, complement_dim=0, axis_aligned=axis_aligned)
+        random_representation(g, {}, complement_dim=0)
 
 
-@pytest.mark.parametrize("axis_aligned", [False, True])
+@haar_twisted
 def test_random_representation_forms_no_exact_operator(monkeypatch, axis_aligned):
     """The canonical model's index maps are read off the synthesized system:
     no induced family, no second validation, no identity operators and no
-    dense operator matrices, in either mode."""
+    dense operator matrices."""
     from branchrep import branching, operators
 
     def refuse(name):
@@ -828,21 +827,9 @@ def test_random_representation_forms_no_exact_operator(monkeypatch, axis_aligned
     ):
         monkeypatch.setattr(module, name, refuse(name))
     g = star_graph(3, outward=True)
-    rep = random_representation(
-        g, {v: 2 for v in g.sinks()}, complement_dim=1, seed=5, axis_aligned=axis_aligned
-    )
+    rep = random_representation(g, {v: 2 for v in g.sinks()}, complement_dim=1, seed=5)
     monkeypatch.undo()
     assert check_representation(rep, g).passed
-
-
-def test_axis_aligned_matches_induced_canonical_matrices():
-    g = path_graph(3)
-    rep = random_representation(g, {"v3": 2}, complement_dim=1, axis_aligned=True)
-    fam = induce(synthesize(g, {"v3": 2}, slack=1), g)
-    for e in g.edges:
-        assert np.array_equal(rep.edge_matrices[e.id], to_matrix(fam, e.id).astype(complex))
-    for v in g.vertices:
-        assert np.array_equal(rep.vertex_matrices[v], to_matrix(fam, v).astype(complex))
 
 
 # -- JSON interchange ----------------------------------------------------------------
@@ -874,7 +861,7 @@ def test_rep_json_round_trip_is_exact():
 )
 def test_rep_json_rejections(mutate, fragment):
     g = single_edge_graph()
-    doc = rep_to_json(random_representation(g, {"v": 1}, axis_aligned=True))
+    doc = rep_to_json(genutil.canonical_representation(g, {"v": 1}))
     mutate(doc)
     with pytest.raises(RepresentationError) as exc:
         rep_from_json(doc)

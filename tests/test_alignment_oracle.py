@@ -60,7 +60,7 @@ from test_alignment import twisted_edge
 def honest_cases(draw):
     """An attachment tree, a forest cut from one, or a star, with extra
     isolated vertices, shuffled document order, sink dims 1-3 and a
-    complement of 0-2; randomised or axis-aligned."""
+    complement of 0-2; Haar-twisted or the exact 0/1 canonical model."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n = draw(st.integers(2, 8))
     shape = draw(st.sampled_from(["tree", "forest", "ostar", "istar"]))
@@ -80,9 +80,12 @@ def honest_cases(draw):
     doc["edges"] = draw(st.permutations(doc["edges"]))
     g = graph_from_json(doc)
     dims = genutil.random_sink_dims(rng, g, 3)
-    rep = random_representation(
-        g, dims, draw(st.integers(0, 2)), int(rng.integers(2**32)), draw(st.booleans())
-    )
+    comp = draw(st.integers(0, 2))
+    seed = int(rng.integers(2**32))
+    if draw(st.booleans()):
+        rep = genutil.canonical_representation(g, dims, comp)
+    else:
+        rep = random_representation(g, dims, comp, seed)
     return g, rep
 
 
@@ -348,7 +351,8 @@ def acyclic_multigraph_cases(draw):
     so it has no directed cycle but may have parallel edges and undirected
     cycles, plus isolated vertices, in shuffled document order; sink dims
     1-3, a complement of 0-2, and a universe of at most 64 indices (parallel
-    edges along a path multiply it); randomised or axis-aligned."""
+    edges along a path multiply it); Haar-twisted or the exact 0/1
+    canonical model."""
     n = draw(st.integers(2, 7))
     names = [f"v{i}" for i in range(n)]
     forward = st.integers(0, n - 2).flatmap(
@@ -366,7 +370,10 @@ def acyclic_multigraph_cases(draw):
     comp = draw(st.integers(0, 2))
     assume(sum(vertex_dimensions(g, sink_dims).values()) + comp <= 64)
     seed = draw(st.integers(0, 2**32 - 1))
-    rep = random_representation(g, sink_dims, comp, seed, draw(st.booleans()))
+    if draw(st.booleans()):
+        rep = genutil.canonical_representation(g, sink_dims, comp)
+    else:
+        rep = random_representation(g, sink_dims, comp, seed)
     return g, sink_dims, comp, rep
 
 

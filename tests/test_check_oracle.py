@@ -354,16 +354,15 @@ def dense_representations(draw):
     else:
         g = star_graph(size - 1, outward=False)
     tols = draw(REP_TOLERANCES)
-    rep = random_representation(
-        g,
-        genutil.random_sink_dims(rng, g, 2),
-        complement_dim=draw(st.integers(0, 2)),
-        seed=draw(st.integers(0, 1000)),
-        axis_aligned=draw(st.booleans()),
-    )
+    sink_dims = genutil.random_sink_dims(rng, g, 2)
+    complement_dim = draw(st.integers(0, 2))
+    seed = draw(st.integers(0, 1000))
+    if draw(st.booleans()):
+        rep = genutil.canonical_representation(g, sink_dims, complement_dim)
+    else:
+        rep = random_representation(g, sink_dims, complement_dim, seed)
     edges = dict(rep.edge_matrices)
     vertices = dict(rep.vertex_matrices)
-    complement_dim = rep.complement_dim
     n = rep.dim
     kind = draw(
         st.sampled_from(
@@ -595,9 +594,7 @@ def test_a_skew_plant_is_cleared_only_when_self_adjoint_within_tolerance(factor,
     check, which measures neither quantity for a cleared vertex, would pass
     it."""
     g, _ = _tree_150()
-    rep = random_representation(
-        g, {v: 3 for v in g.sinks()}, complement_dim=3, seed=5, axis_aligned=True
-    )
+    rep = genutil.canonical_representation(g, {v: 3 for v in g.sinks()}, complement_dim=3)
     v = g.sinks()[0]
     i, j = np.flatnonzero(np.diag(rep.vertex_matrices[v]).real > 0.5)[:2]
     m = rep.vertex_matrices[v].copy()
@@ -643,13 +640,13 @@ def rank_cases(draw):
     [1e-15, 1e-6]."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     g = genutil.tree_graph(rng, draw(st.integers(2, 12)))
-    rep = random_representation(
-        g,
-        genutil.random_sink_dims(rng, g, 3),
-        complement_dim=draw(st.integers(0, 2)),
-        seed=draw(st.integers(0, 1000)),
-        axis_aligned=draw(st.booleans()),
-    )
+    sink_dims = genutil.random_sink_dims(rng, g, 3)
+    complement_dim = draw(st.integers(0, 2))
+    seed = draw(st.integers(0, 1000))
+    if draw(st.booleans()):
+        rep = genutil.canonical_representation(g, sink_dims, complement_dim)
+    else:
+        rep = random_representation(g, sink_dims, complement_dim, seed)
     if draw(st.booleans()):
         m = rep.vertex_matrices[draw(st.sampled_from([v for v in g.vertices if g.out_edges(v)]))]
     else:

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import genutil
 from branchrep import (
     ClassificationKind,
     Tolerances,
@@ -76,6 +77,12 @@ IRREGULAR_DOC = {
 # random_representation(g, {"v2": 1, "v4": 1}, seed=9)
 DIAMOND_GRAPH_PATH = FIXTURES / "diamond_graph.json"
 DIAMOND_REP_PATH = FIXTURES / "diamond_rep.json"
+
+# an inverted Bratteli diagram (levels a, b, c; every edge points one level
+# down, with parallel edges b0→a0 and c1→b1), committed with a representation:
+# random_representation(g, {"a0": 1, "a1": 1}, complement_dim=1, seed=1)
+BRATTELI_GRAPH_PATH = FIXTURES / "bratteli_graph.json"
+BRATTELI_REP_PATH = FIXTURES / "bratteli_rep.json"
 
 PARALLEL_DOC = {
     "vertices": ["a", "b"],
@@ -158,6 +165,8 @@ def test_analyze_matches_golden_bytes(capsys):
         (TWO_LEAF_GRAPH_PATH, "analyze_two_leaf.json"),
         # an undirected 4-cycle: one Irregular component, no roles, item 4 n/a
         (DIAMOND_GRAPH_PATH, "analyze_diamond.json"),
+        # an inverted Bratteli diagram with parallel edges: one Irregular component
+        (BRATTELI_GRAPH_PATH, "analyze_bratteli.json"),
     ],
 )
 def test_analyze_fixture_matches_golden_bytes(capsys, graph_path, golden):
@@ -489,6 +498,29 @@ def test_induce_weighted_system_matches_golden_bytes(capsys):
     assert out == (GOLDEN / "induce_two_leaf_weighted.json").read_text(encoding="utf-8")
 
 
+def test_induce_validates_the_system_once(capsys, monkeypatch):
+    """The report's validation is the one the family is built after."""
+    from branchrep import operators
+
+    calls = []
+    for module in (cli, operators):
+        monkeypatch.setattr(
+            module,
+            "validate",
+            lambda *args, real=module.validate: calls.append(args) or real(*args),
+        )
+    code, out, _ = run(
+        capsys,
+        "induce",
+        str(FIXTURES / "two_leaf_weighted_system.json"),
+        "--graph",
+        str(TWO_LEAF_GRAPH_PATH),
+    )
+    assert code == 0
+    assert out == (GOLDEN / "induce_two_leaf_weighted.json").read_text(encoding="utf-8")
+    assert len(calls) == 1
+
+
 def test_induce_weighted_matrix_files_match_golden_bytes(capsys, tmp_path):
     """The coordinate files carry the exported float amplitudes, such as
     577.35026918962581 = sqrt(1e5 / 0.3)."""
@@ -812,7 +844,7 @@ def test_align_axis_aligned_is_exact(capsys, tmp_path):
     the residuals are within ``householder_bound`` of exact."""
     gpath = write_json(tmp_path / "g.json", SINGLE_EDGE_DOC)
     g = graph_from_json(SINGLE_EDGE_DOC)
-    rep = random_representation(g, {"v": 1}, axis_aligned=True)
+    rep = genutil.canonical_representation(g, {"v": 1})
     rpath = write_json(tmp_path / "rep.json", rep_to_json(rep))
     out_dir = tmp_path / "out"
     code, doc, _ = run_json(capsys, "align", rpath, "--graph", gpath, "--out-dir", str(out_dir))
@@ -910,6 +942,21 @@ def test_align_on_an_acyclic_multigraph_extracts_the_synthesized_system(
     assert (out_dir / "system.json").read_text(encoding="utf-8") == synthesized
 
 
+def test_bratteli_synthesize_and_align_match_golden_bytes(capsys, tmp_path):
+    """The inverted Bratteli diagram is not P-simple; the system align
+    extracts from its committed representation is the synthesized one."""
+    golden = (GOLDEN / "synthesize_bratteli.json").read_text(encoding="utf-8")
+    gpath = str(BRATTELI_GRAPH_PATH)
+    code, out, _ = run(capsys, "synthesize", gpath, "--dim", "a0=1", "--dim", "a1=1", "--slack", "1")
+    assert (code, out) == (0, golden)
+    out_dir = tmp_path / "out"
+    code, _, err = run(
+        capsys, "align", str(BRATTELI_REP_PATH), "--graph", gpath, "--out-dir", str(out_dir)
+    )
+    assert (code, err) == (0, "")
+    assert (out_dir / "system.json").read_text(encoding="utf-8") == golden
+
+
 def test_align_zero_rank_vertices_give_an_empty_system(capsys, tmp_path):
     gpath = write_json(tmp_path / "g.json", SINGLE_EDGE_DOC)
     zero = [[0, 0]]
@@ -951,7 +998,7 @@ def test_align_on_a_p_simple_graph_neither_peels_nor_classifies(capsys, tmp_path
 def test_align_out_dir_writes_artifacts(capsys, tmp_path):
     gpath = write_json(tmp_path / "g.json", SINGLE_EDGE_DOC)
     g = graph_from_json(SINGLE_EDGE_DOC)
-    rep = random_representation(g, {"v": 1}, axis_aligned=True)
+    rep = genutil.canonical_representation(g, {"v": 1})
     rpath = write_json(tmp_path / "rep.json", rep_to_json(rep))
     out_dir = tmp_path / "artifacts"
     code, doc, _ = run_json(

@@ -102,7 +102,6 @@ def test_operator_accessors():
     t = WeightedPartialIsometry(mapping={3: 7, 4: 2}, amplitude={3: 1.5, 4: 0.5})
     assert t.domain == frozenset({3, 4})
     assert t.range == frozenset({7, 2})
-    assert t.inverse_mapping() == {7: 3, 2: 4}
 
 
 def test_zero_and_identity_helpers():

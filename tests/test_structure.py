@@ -12,9 +12,7 @@ from branchrep import (
     Role,
     StructureError,
     check_structure,
-    classify,
     component_classifications,
-    extreme_vertices,
     graph_from_json,
     level_decomposition,
     level_report,
@@ -22,6 +20,7 @@ from branchrep import (
     vertex_roles,
 )
 from conftest import path_graph, star_graph, single_edge_graph
+from structure_oracle import extreme_vertices
 
 
 def undirected_copy(g):
@@ -97,17 +96,14 @@ def test_example_graph_levels(example_graph):
 
 
 def test_extreme_vertices_ignores_loops_and_degree(example_graph):
-    assert extreme_vertices(example_graph) == ("v1", "v6", "v7", "v10", "v11", "v12")
+    """The first peeling round is the extreme vertices: a loop-only vertex
+    meets one edge and is still not extreme."""
+    d = level_decomposition(example_graph)
+    assert d.vertex_levels[0] == ("v1", "v6", "v7", "v10", "v11", "v12")
     loop_only = graph_from_json(
         {"vertices": ["a"], "edges": [{"id": "l", "src": "a", "rng": "a"}]}
     )
-    assert extreme_vertices(loop_only) == ()
-
-
-def test_classify_rejects_non_component(example_graph):
-    d = level_decomposition(example_graph)
-    with pytest.raises(StructureError):
-        classify(example_graph, d, ("v1", "v2"))
+    assert level_decomposition(loop_only).vertex_levels == ()
 
 
 # -- roles --------------------------------------------------------------------
