@@ -42,9 +42,9 @@ class DirectedGraph:
     each vertex and edge id (``_vertex_pos``, ``_edge_pos``), and each
     vertex's incident and out-edges (``_incident``, ``_out``). An edge is
     looked up through its position. Being immutable, a graph is decomposed
-    into its components once, on first use, by one union-find sweep that
-    every caller shares (see ``decompose``). The structure layer reads the tables
-    directly, as plain dict lookups.
+    into its components once, on first use, by one depth-first walk over
+    ``_incident`` that every caller shares (see ``decompose``). The
+    structure layer reads the tables directly, as plain dict lookups.
     """
 
     def __init__(self, vertices: Iterable[str], edges: Iterable[Edge]):
@@ -162,7 +162,7 @@ class ComponentDecomposition:
 
 
 class _Components(NamedTuple):
-    """What one union-find sweep of a graph finds, parallel to dec.components."""
+    """What ``_sweep``'s one walk of a graph finds, parallel to dec.components."""
 
     dec: ComponentDecomposition
     forests: tuple[bool, ...]
@@ -223,26 +223,6 @@ def parse_graph(text: str) -> DirectedGraph:
 # -- operations ----------------------------------------------------------
 
 
-class _UnionFind:
-    def __init__(self, items: Iterable[str]):
-        self.parent = {x: x for x in items}
-
-    def find(self, x: str) -> str:
-        parent = self.parent
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    def union(self, a: str, b: str) -> None:
-        """Merge the classes of a and b."""
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
-
-
 def is_p_simple(g: DirectedGraph) -> bool:
     """No loop edge and at most one path between any two distinct vertices.
 
@@ -297,45 +277,50 @@ def decompose(g: DirectedGraph) -> ComponentDecomposition:
     """Partition vertices into connected components of r(E1) ∪ s(E1) and the rest.
 
     Components are ordered by their earliest vertex in document order, and a
-    vertex carrying only loops forms its own singleton component. The graph
-    is swept once, on the first call, and the same decomposition is returned
-    on every later one.
+    vertex carrying only loops forms its own singleton component. The graph's
+    incidence table is walked once, on the first call, and the same
+    decomposition is returned on every later one.
     """
     return g._components.dec
 
 
 def _sweep(g: DirectedGraph) -> _Components:
-    """One union-find pass over the edges, then one over vertices and edges.
+    """One depth-first walk over the incidence table, then one grouping pass.
 
-    Touched vertices are grouped in document order, so each component is
-    in document order and the components come out ordered by their first
-    vertex. The second pass counts each component's edges: a connected
-    component with k vertices has at least k - 1 non-loop edges, and it is
-    a forest (no loop, no cycle) exactly when it has no more edges than that.
+    Each touched vertex the walk has not yet reached starts the next
+    component number, so components are numbered by their first vertex in
+    document order. The second pass groups the touched vertices by number in
+    document order and counts each component's edges: a connected component
+    with k vertices has at least k - 1 non-loop edges, and it is a forest (no
+    loop, no cycle) exactly when it has no more edges than that.
     """
+    incident = g._incident
     touched = g.non_isolated()
-    uf = _UnionFind(touched)
-    for e in g.edges:
-        if e.src != e.rng:
-            uf.union(e.src, e.rng)
     index: dict[str, int] = {}  # vertex -> number of its component
-    roots: dict[str, int] = {}
-    members: list[list[str]] = []
+    n = 0
+    for root in touched:
+        if root in index:
+            continue
+        index[root] = n
+        stack = [root]
+        while stack:
+            v = stack.pop()
+            for e in incident[v]:
+                w = e.rng if e.src == v else e.src
+                if w not in index:
+                    index[w] = n
+                    stack.append(w)
+        n += 1
+    members: list[list[str]] = [[] for _ in range(n)]
     for v in touched:
-        r = uf.find(v)
-        i = roots.get(r)
-        if i is None:
-            i = roots[r] = len(members)
-            members.append([])
-        members[i].append(v)
-        index[v] = i
-    counts = [0] * len(members)
+        members[index[v]].append(v)
+    counts = [0] * n
     for e in g.edges:
         counts[index[e.src]] += 1
     return _Components(
         ComponentDecomposition(
             tuple(tuple(m) for m in members),
-            tuple(v for v in g.vertices if not g._incident[v]),
+            tuple(v for v in g.vertices if not incident[v]),
         ),
         tuple(k < len(m) for m, k in zip(members, counts)),
     )
@@ -351,22 +336,20 @@ def truncate(g: DirectedGraph, n: int) -> tuple[DirectedGraph, frozenset[str]]:
     if n < 0:
         raise GraphError("truncation size must be nonnegative")
     kept = set(g.vertices[:n])
-    kept_edges = [e for e in g.edges if e.src in kept and e.rng in kept]
-    kept_edge_ids = {e.id for e in kept_edges}
-    boundary = {
-        v
-        for e in g.edges
-        if e.id not in kept_edge_ids
-        for v in (e.src, e.rng)
-        if v in kept
-    }
-    return g.subgraph(kept, kept_edge_ids), frozenset(boundary)
+    kept_edges: list[Edge] = []
+    boundary: set[str] = set()
+    for e in g.edges:
+        if e.src in kept and e.rng in kept:
+            kept_edges.append(e)
+        else:
+            boundary.update(v for v in (e.src, e.rng) if v in kept)
+    return DirectedGraph(g.vertices[:n], kept_edges), frozenset(boundary)
 
 
 def component_forests(g: DirectedGraph) -> tuple[bool, ...]:
     """Whether each component of decompose(g) is a forest, in component order.
 
-    The bits come from the sweep behind ``decompose``, which counts each
-    component's edges (see ``_sweep``).
+    The bits come from the walk behind ``decompose``, whose grouping pass
+    counts each component's edges (see ``_sweep``).
     """
     return g._components.forests

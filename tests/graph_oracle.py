@@ -3,7 +3,7 @@
 ``find_paths`` lists edge-distinct undirected walks between two vertices by
 recursing once per step, so its depth grows with the walk's length; the
 definition-level P-simplicity predicate in ``test_graph.py`` counts trails
-with it, against the union-find route of ``branchrep.graph.is_p_simple``.
+with it, against the component sweep behind ``branchrep.graph.is_p_simple``.
 ``_other_endpoint`` is a verbatim copy of the library's former
 ``Edge.other_endpoint``.
 """

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -97,7 +98,7 @@ def householder_bound(n):
     return n * alignment._gamma(n * n)
 
 
-def test_axis_aligned_single_edge_is_exactly_canonical():
+def test_canonical_model_single_edge_is_exactly_recovered():
     g = single_edge_graph()
     rep = genutil.canonical_representation(g, {"v": 1})
     assert np.array_equal(to_matrix(induce(synthesize(g, {"v": 1}), g), "e").astype(complex), rep.edge_matrices["e"])
@@ -110,7 +111,7 @@ def test_axis_aligned_single_edge_is_exactly_canonical():
     assert cert.max_residual <= bound
 
 
-def test_axis_aligned_star_recovers_canonical_system():
+def test_canonical_model_star_recovers_synthesized_system():
     g = star_graph(3, outward=True)
     dims = {"l1": 1, "l2": 2, "l3": 1}
     rep = genutil.canonical_representation(g, dims)
@@ -405,6 +406,25 @@ def test_zero_rank_sink_under_an_emitter_is_a_rank_mismatch():
     )
     with pytest.raises(AlignmentError, match="rank mismatch at vertex 'u'"):
         align_bases(rep, g)
+
+
+def test_extraction_fails_closed_on_a_system_that_violates_a_condition():
+    """Emptying u's block leaves every edge block intact, so b2b passes; the
+    system read off the blocks then has R_e outside D_u, and extraction
+    refuses it rather than return it."""
+    g = single_edge_graph()
+    rep = random_representation(g, {"v": 2}, complement_dim=1, seed=3)
+    ba = align_bases(rep, g)
+    bad = dataclasses.replace(ba, vertex_bases={**ba.vertex_bases, "u": ()})
+    assert check_b2b(rep, bad, g).passed
+    with pytest.raises(
+        AlignmentError,
+        match=re.escape(
+            "extracted system violates branching condition 3: "
+            "{'edge': 'e', 'src': 'u', 'index': 0}"
+        ),
+    ):
+        extract_branching_system(rep, bad, g)
 
 
 def test_align_rejects_wrong_complement_declaration():
@@ -770,13 +790,7 @@ def test_gathered_twist_is_within_rounding_of_padded_twist(args):
             assert np.all(np.abs(m - reference[key]) <= bound), key
 
 
-# the Haar-twisted case, under the ``[False]`` id these tests have always had;
-# the exact 0/1 model is genutil.canonical_representation
-haar_twisted = pytest.mark.parametrize("axis_aligned", [False])
-
-
-@haar_twisted
-def test_random_representation_runs_no_relation_check(monkeypatch, axis_aligned):
+def test_random_representation_runs_no_relation_check(monkeypatch):
     calls = []
     monkeypatch.setattr(
         alignment,
@@ -789,8 +803,7 @@ def test_random_representation_runs_no_relation_check(monkeypatch, axis_aligned)
     assert check_representation(rep, g).passed
 
 
-@haar_twisted
-def test_random_representation_of_size_zero_raises_one_error(monkeypatch, axis_aligned):
+def test_random_representation_of_size_zero_raises_one_error(monkeypatch):
     """Two isolated vertices and no complement give N = 0; it is refused
     with ConcreteRepresentation's error before any Haar draw."""
 
@@ -803,8 +816,7 @@ def test_random_representation_of_size_zero_raises_one_error(monkeypatch, axis_a
         random_representation(g, {}, complement_dim=0)
 
 
-@haar_twisted
-def test_random_representation_forms_no_exact_operator(monkeypatch, axis_aligned):
+def test_random_representation_forms_no_exact_operator(monkeypatch):
     """The canonical model's index maps are read off the synthesized system:
     no induced family, no second validation, no identity operators and no
     dense operator matrices."""

@@ -342,17 +342,21 @@ def dense_representations(draw):
     """A random honest representation with one mutation, and the tolerances
     to check it at.
 
-    Graphs are attachment trees or in-stars (every edge into one vertex) of
+    Graphs are attachment trees, in-stars (every edge into one vertex) or
+    acyclic multigraphs with up to 4 extra edges, parallel ones included, of
     2 to 12 vertices. Mutations: the finite ones below, an item-i or item-iv
     overlap or a projections, ii, iii or v defect planted at 0.5 or 2 times
     the tolerance, or one non-finite entry.
     """
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     size = draw(st.integers(2, 12))
-    if draw(st.booleans()):
+    shape = draw(st.sampled_from(["tree", "star", "dag"]))
+    if shape == "tree":
         g = genutil.tree_graph(rng, size)
-    else:
+    elif shape == "star":
         g = star_graph(size - 1, outward=False)
+    else:
+        g = genutil.dag_graph(rng, size, extra=draw(st.integers(0, 4)))
     tols = draw(REP_TOLERANCES)
     sink_dims = genutil.random_sink_dims(rng, g, 2)
     complement_dim = draw(st.integers(0, 2))

@@ -167,6 +167,8 @@ def test_analyze_matches_golden_bytes(capsys):
         (DIAMOND_GRAPH_PATH, "analyze_diamond.json"),
         # an inverted Bratteli diagram with parallel edges: one Irregular component
         (BRATTELI_GRAPH_PATH, "analyze_bratteli.json"),
+        # a loop alone holds one levelsPlusCenter component together, with no roles
+        (LOOP_GRAPH_PATH, "analyze_loop.json"),
     ],
 )
 def test_analyze_fixture_matches_golden_bytes(capsys, graph_path, golden):
@@ -188,15 +190,15 @@ def test_analyze_truncated_matches_golden_bytes(capsys):
 @pytest.mark.parametrize("graph_path", [EXAMPLE_GRAPH_PATH, TWO_LEAF_GRAPH_PATH])
 def test_the_structure_layer_sweeps_each_graph_once(capsys, monkeypatch, graph_path):
     """decompose, is_p_simple, the classifications, the shape report and the
-    roles all read one union-find sweep per graph; so does ``analyze``."""
+    roles all read one component sweep per graph; so does ``analyze``."""
     built = []
+    sweep = graph._sweep
 
-    class CountingUnionFind(graph._UnionFind):
-        def __init__(self, items):
-            built.append(None)
-            super().__init__(items)
+    def counting_sweep(g):
+        built.append(None)
+        return sweep(g)
 
-    monkeypatch.setattr(graph, "_UnionFind", CountingUnionFind)
+    monkeypatch.setattr(graph, "_sweep", counting_sweep)
     g = graph_from_json(json.loads(graph_path.read_text(encoding="utf-8")))
     d = level_decomposition(g)
     dec = decompose(g)
@@ -839,7 +841,7 @@ def test_align_recovers_canonical_system(capsys, tmp_path):
     assert all(item["status"] == "pass" for item in doc["b2b"])
 
 
-def test_align_axis_aligned_is_exact(capsys, tmp_path):
+def test_align_canonical_model_is_exact(capsys, tmp_path):
     """The extracted system is exactly the synthesized one; the unitary and
     the residuals are within ``householder_bound`` of exact."""
     gpath = write_json(tmp_path / "g.json", SINGLE_EDGE_DOC)

@@ -186,7 +186,7 @@ def _direct_p_simple(g: DirectedGraph) -> bool:
 
 
 def test_p_simple_exhaustive_cross_check():
-    """Compare the union-find route against the definition on every multigraph
+    """Compare the component sweep against the definition on every multigraph
     with 5 labeled vertices and at most 6 edges. Both predicates only see
     endpoint multisets, so enumerating those is exhaustive over directions;
     loops, parallel pairs, and every cycle length fit inside the budget."""
